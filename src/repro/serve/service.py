@@ -157,7 +157,15 @@ class _Handler(BaseHTTPRequestHandler):
         self._observe_request(span)
 
     def _handle_post(self) -> None:
-        length = int(self.headers.get("Content-Length") or 0)
+        header = self.headers.get("Content-Length") or "0"
+        try:
+            length = int(header)
+        except ValueError:
+            length = -1
+        if length < 0:
+            # A negative length would make rfile.read wait for EOF.
+            self._send(400, {"error": f"invalid Content-Length {header!r}"})
+            return
         raw = self.rfile.read(length)
         try:
             payload = json.loads(raw) if raw else {}

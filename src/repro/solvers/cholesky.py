@@ -3,9 +3,27 @@
 Factorizes an SDD matrix once and solves repeatedly.  Singular
 Laplacians (zero row sums) are grounded at one vertex — the reduced
 matrix is positive definite — and solutions are re-centered so the
-solver applies the pseudoinverse ``L⁺`` on ``1⊥``.  SuperLU supplies
-the factorization; its L/U nonzero count is the "memory" column of the
-paper's Table 3.
+solver applies the pseudoinverse ``L⁺`` on ``1⊥``.  Grounding drops one
+row and column, so the kept rows are a slice for the default vertex 0
+(the right-hand sides go to SuperLU as views) and an index array
+otherwise.  Grounding only makes a *connected* Laplacian definite: the
+other components of a disconnected graph would stay floating and the
+solve would return a wrong answer without complaint, so a singular
+input with more than one connected component raises ``ValueError``.
+
+SuperLU supplies the factorization, run in its symmetric mode as a
+stand-in for a sparse Cholesky factorization: a minimum-degree
+ordering of the symmetric pattern ``A + Aᵀ`` (``MMD_AT_PLUS_A``),
+applied to rows and columns alike, and no pivot search
+(``diag_pivot_thresh=0``), so every pivot is the diagonal entry.  That
+is safe because every input is symmetric positive definite — a
+grounded connected Laplacian, or an SDD system with positive diagonal
+slack as the apps and the AMG coarse levels pass — and such a matrix
+factors stably with diagonal pivots.  The symmetric ordering cuts the
+L/U fill several fold against SuperLU's general-matrix defaults
+(COLAMD plus partial pivoting) on hub-heavy graphs, and a spanning
+tree factors with no fill at all.  The L/U nonzero count is the
+"memory" column of the paper's Table 3.
 
 Small batches of edge updates are absorbed *without* re-factorizing:
 changing edges ``(u_i, v_i)`` by the signed weight delta ``w_i``
@@ -38,23 +56,47 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.sparse.csgraph import connected_components
 
-from repro.graphs.laplacian import ground_matrix
 from repro.obs import get_metrics
 from repro.utils.memory import factor_nbytes
 from repro.utils.validation import check_square
 
 __all__ = ["DirectSolver"]
 
+#: SuperLU column ordering: minimum degree on the pattern of ``A + Aᵀ``.
+_ORDERING = "MMD_AT_PLUS_A"
+#: Pivot threshold 0: always take the diagonal (input is SPD).
+_PIVOT_THRESHOLD = 0.0
+#: Apply the ordering symmetrically and prefer diagonal pivots.
+_SUPERLU_OPTIONS = {"SymmetricMode": True}
+
+
+def _factor(matrix: sp.csc_matrix):
+    """SuperLU factorization of an SPD matrix in symmetric mode."""
+    return spla.splu(
+        matrix,
+        permc_spec=_ORDERING,
+        diag_pivot_thresh=_PIVOT_THRESHOLD,
+        options=_SUPERLU_OPTIONS,
+    )
+
 
 class DirectSolver:
-    """Factor-once/solve-many direct solver for SDD and Laplacian matrices.
+    """Factor-once/solve-many direct solver for SPD and Laplacian matrices.
+
+    The factorization orders the matrix symmetrically and pivots on the
+    diagonal (see the module docstring), which is exact for the
+    symmetric positive definite systems this solver is built for: SDD
+    matrices with positive diagonal slack and grounded Laplacians of
+    connected graphs.
 
     Parameters
     ----------
     matrix:
-        Sparse SDD matrix.  If its row sums vanish (graph Laplacian of a
-        connected graph), the system is solved in grounded form.
+        Sparse symmetric SDD matrix.  If its row sums vanish (a graph
+        Laplacian), the system is solved in grounded form, which needs
+        the graph to be connected.
     ground_vertex:
         Vertex to ground when the matrix is singular (default 0).
     max_update_rank:
@@ -68,6 +110,13 @@ class DirectSolver:
         rejected wholesale — deliberately, since partially absorbing
         would misrepresent the matrix and absorbing huge batches would
         cost more than the factorization they avoid.
+
+    Raises
+    ------
+    ValueError
+        If the matrix is not square, or it is singular and either
+        ``ground_vertex`` is out of range or the graph has more than
+        one connected component.
 
     Notes
     -----
@@ -86,21 +135,38 @@ class DirectSolver:
         check_square(matrix, "matrix")
         self.n = matrix.shape[0]
         self.max_update_rank = int(max_update_rank)
+        matrix = matrix.tocsc()
         row_sums = np.asarray(matrix.sum(axis=1)).ravel()
         scale = max(1.0, float(np.abs(matrix.diagonal()).max()) if self.n else 1.0)
         self.singular = bool(np.all(np.abs(row_sums) <= 1e-9 * scale))
         self.ground_vertex = ground_vertex if self.singular else -1
         if self.singular:
-            if self.n == 1:
-                self._lu = None
+            if not 0 <= ground_vertex < self.n:
+                raise ValueError(
+                    f"ground vertex {ground_vertex} out of range [0, {self.n})"
+                )
+            # Explicit zeros (absent edges kept on a fixed pattern) are
+            # not edges; csgraph would count them as edges.
+            pattern = matrix if matrix.data.all() else matrix != 0
+            components = connected_components(
+                pattern, directed=False, return_labels=False
+            )
+            if components > 1:
+                raise ValueError(
+                    f"singular matrix is the Laplacian of a graph with "
+                    f"{components} connected components; grounding one "
+                    "vertex solves only a connected graph"
+                )
+            # Rows kept by grounding: a slice (views, no copies) at the
+            # default vertex 0, an index array elsewhere.
+            if ground_vertex == 0:
+                self._keep = slice(1, None)
             else:
-                reduced = ground_matrix(matrix, ground_vertex).tocsc()
-                self._lu = spla.splu(reduced)
-            keep = np.ones(self.n, dtype=bool)
-            keep[ground_vertex] = False
-            self._keep = keep
+                self._keep = np.delete(np.arange(self.n), ground_vertex)
+            reduced = matrix[self._keep][:, self._keep]
+            self._lu = _factor(reduced) if self.n > 1 else None
         else:
-            self._lu = spla.splu(matrix.tocsc())
+            self._lu = _factor(matrix)
             self._keep = None
         # Accumulated Woodbury update: U (incidence columns of the added
         # edges, restricted to the kept rows when grounded), Z = A⁻¹U and

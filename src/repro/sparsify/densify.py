@@ -2,10 +2,11 @@
 
 Starting from the spanning-tree backbone, each densification iteration:
 
-1. refreshes the sparsifier's solver *incrementally* (tree solver while
-   the sparsifier is a pure tree; factorization or AMG afterwards — the
-   paper's [13, 24] — updated in place for small batches via
-   :class:`~repro.sparsify.state.SparsifierState`);
+1. refreshes the sparsifier's solver *incrementally* (a sparse
+   factorization from the first round on — zero fill while the
+   sparsifier is a pure tree — or AMG on very large graphs once
+   off-tree edges exist, the paper's [5, 13, 24]; updated in place for
+   small batches via :class:`~repro.sparsify.state.SparsifierState`);
 2. estimates the spectral similarity via λmax (generalized power
    iterations, §3.6.1) and λmin (node coloring, Eq. 18, from cached
    degrees);

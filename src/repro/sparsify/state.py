@@ -32,8 +32,6 @@ from repro.graphs.graph import Graph
 from repro.solvers.amg import AMGSolver
 from repro.solvers.base import Solver, csr_value_positions
 from repro.solvers.cholesky import DirectSolver
-from repro.trees.tree import RootedTree
-from repro.trees.tree_solver import TreeSolver
 
 __all__ = ["SparsifierState"]
 
@@ -323,8 +321,10 @@ class SparsifierState:
         Returns
         -------
         Solver
-            Tree solver while the sparsifier is a pure tree; the
-            configured direct/AMG solver afterwards.
+            A :class:`DirectSolver` while the sparsifier is a pure tree
+            (a tree factors with no fill, so this costs ``O(n)``), and
+            the configured direct or AMG solver once off-tree edges
+            exist.
         """
         if self._solver is None:
             self._solver = self._build_solver()
@@ -332,13 +332,17 @@ class SparsifierState:
         return self._solver
 
     def _build_solver(self) -> Solver:
-        if self.is_pure_tree:
-            tree = RootedTree.from_graph(self.graph, self.tree_indices)
-            return TreeSolver(tree)
+        """Factor ``L_P`` directly, or build AMG for large non-trees.
+
+        The pure tree always gets the direct solver, whatever the
+        method: under the minimum-degree ordering its factor has no
+        fill, and it absorbs the first edge batches through Woodbury
+        updates like any other factorization.
+        """
         method = self.solver_method
         if method == "auto":
             method = "cholesky" if self.graph.n <= 200_000 else "amg"
-        if method == "cholesky":
+        if self.is_pure_tree or method == "cholesky":
             return DirectSolver(
                 self.pruned_laplacian().tocsc(),
                 max_update_rank=self.max_update_rank,

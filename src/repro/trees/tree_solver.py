@@ -4,9 +4,16 @@ A tree Laplacian system is an electrical flow problem on a tree: the
 current through each edge is the (unique) sum of injections in the
 subtree below it, after which potentials propagate from the root by
 Ohm's law.  Both passes vectorize over BFS levels, so solving costs two
-sweeps of the tree — this is the fast ``L_P⁺`` application used by the
-generalized power iterations when the sparsifier is still a pure tree
-(paper Section 3.2, Step 2).
+sweeps of the tree, each one Python step per level.
+
+The densification loop does not use this solver for its pure-tree first
+round: :class:`~repro.solvers.cholesky.DirectSolver` factors a tree with
+no fill and solves it in compiled code, without a Python loop over a
+tree that can be hundreds of levels deep.  This solver remains the
+tree preconditioner (:mod:`repro.solvers.preconditioners`), the tree
+solver of :mod:`repro.sparsify.baselines` and of the Figure 2
+experiment, and the exact oracle that tests check the pipeline's tree
+solves against (paper Section 3.2, Step 2).
 """
 
 from __future__ import annotations

@@ -86,8 +86,11 @@ class TestTable3:
         for row in rows:
             assert len(row) == len(table3.HEADERS)
             balance = float(row[3])
+            memory_direct = float(row[5])
+            memory_iterative = float(row[7])
             rel_err = float(row[8])
             assert 0.5 <= balance <= 2.0
+            assert memory_iterative < memory_direct  # the paper's M_I << M_D
             assert rel_err <= 0.10
 
 

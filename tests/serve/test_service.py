@@ -177,3 +177,24 @@ class TestErrors:
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             urllib.request.urlopen(request, timeout=10)
         assert excinfo.value.code == 400
+
+    @pytest.mark.parametrize("length", ["-1", "abc"])
+    def test_bad_content_length_is_400(self, service, length):
+        """A negative or non-integer length gets a 400, not a hang or a
+        dropped connection."""
+        import socket
+        from urllib.parse import urlparse
+
+        url = urlparse(service.url)
+        request = (
+            f"POST /graphs HTTP/1.1\r\nHost: {url.hostname}\r\n"
+            f"Content-Length: {length}\r\n\r\n"
+        ).encode("ascii")
+        with socket.create_connection((url.hostname, url.port), timeout=5) as sock:
+            sock.sendall(request)
+            reply = b""
+            while chunk := sock.recv(4096):
+                reply += chunk
+        status_line = reply.split(b"\r\n", 1)[0]
+        assert status_line.split()[1] == b"400"
+        assert b"Content-Length" in reply.split(b"\r\n\r\n", 1)[1]

@@ -45,6 +45,30 @@ class TestSingularLaplacian:
         solver = DirectSolver(Graph(1).laplacian().tocsc())
         assert solver.solve(np.array([0.5]))[0] == 0.0
 
+    def test_disconnected_laplacian_rejected(self):
+        """Grounding one vertex leaves the other components floating;
+        the solver must refuse instead of returning a wrong answer."""
+        from repro.graphs.operations import disjoint_union
+
+        g = disjoint_union(generators.grid2d(5, 5), generators.grid2d(4, 4))
+        with pytest.raises(ValueError, match="2 connected components"):
+            DirectSolver(g.laplacian())
+
+    def test_explicit_zeros_are_not_edges(self):
+        """A Laplacian kept on a fixed pattern stores absent edges as
+        explicit zeros; they must not hide a disconnection."""
+        L = generators.path_graph(4).laplacian().tocsr()
+        L[1, 2] = L[2, 1] = 0.0
+        L[1, 1] -= 1.0
+        L[2, 2] -= 1.0
+        assert L.nnz == generators.path_graph(4).laplacian().nnz
+        with pytest.raises(ValueError, match="2 connected components"):
+            DirectSolver(L)
+
+    def test_ground_vertex_out_of_range(self, grid_small):
+        with pytest.raises(ValueError, match="out of range"):
+            DirectSolver(grid_small.laplacian(), ground_vertex=grid_small.n)
+
 
 class TestNonsingularSDD:
     def test_exact_solve(self, grid_weighted, rng):
@@ -84,3 +108,19 @@ class TestInterface:
     def test_rectangular_rejected(self):
         with pytest.raises(ValueError, match="square"):
             DirectSolver(sp.csr_matrix((2, 3)))
+
+
+class TestSymmetricOrdering:
+    def test_scale_free_sparsifier_fill(self):
+        """Fill regression on a fixed barabasi_albert(1500) sparsifier.
+
+        The symmetric minimum-degree ordering gives 27,064 L+U
+        nonzeros here; SuperLU's general-matrix defaults (COLAMD plus
+        partial pivoting) give 116,784.
+        """
+        from repro.sparsify import sparsify_graph
+
+        g = generators.barabasi_albert(1500, attach=4, seed=0)
+        sparsifier = sparsify_graph(g, sigma2=50.0, seed=0).sparsifier
+        solver = DirectSolver(sparsifier.laplacian())
+        assert solver.factor_nnz <= 40_000

@@ -81,6 +81,23 @@ class TestDirectSolverWoodbury:
         assert solver.update(empty, empty, np.array([]))
         assert solver.update_rank == 0
 
+    def test_update_grounded_away_from_vertex_zero(self, grid):
+        """Grounding at an interior vertex keeps rows by index rather
+        than by slice; additions and a deletion must still match a
+        fresh factorization."""
+        base_mask, updated_mask, update = _split(grid, 24)
+        solver = DirectSolver(
+            grid.edge_subgraph(base_mask).laplacian(), ground_vertex=17
+        )
+        assert solver.update(grid.u[update], grid.v[update], grid.w[update])
+        gone = update[:1]
+        assert solver.update(grid.u[gone], grid.v[gone], -grid.w[gone])
+        updated_mask[gone] = False
+        fresh = DirectSolver(grid.edge_subgraph(updated_mask).laplacian())
+        b = np.random.default_rng(2).standard_normal((grid.n, 3))
+        b -= b.mean(axis=0, keepdims=True)
+        assert np.allclose(solver.solve(b), fresh.solve(b), atol=1e-8)
+
     def test_nonsingular_sdd_update(self):
         """Woodbury also applies to grounded/regularized SDD systems."""
         g = generators.grid2d(6, 6, seed=2)

@@ -108,17 +108,33 @@ class TestIncrementalLaplacian:
 
 
 class TestSolverManagement:
-    def test_pure_tree_uses_tree_solver(self, grid_with_tree):
-        g, tree = grid_with_tree
-        state = SparsifierState(g, tree)
-        assert isinstance(state.solver(), TreeSolver)
+    def test_pure_tree_factor_has_no_fill(self, grid_with_tree):
+        """The pure tree is factored directly with zero fill, and its
+        solves match the exact two-sweep tree solver."""
+        from repro.graphs import ground_matrix
+        from repro.trees import RootedTree
 
-    def test_tree_solver_dropped_after_additions(self, grid_with_tree):
         g, tree = grid_with_tree
         state = SparsifierState(g, tree)
-        state.solver()
+        solver = state.solver()
+        assert isinstance(solver, DirectSolver)
+        grounded = ground_matrix(state.pruned_laplacian(), 0)
+        assert solver.factor_nnz == grounded.nnz + g.n - 1
+        oracle = TreeSolver(RootedTree.from_graph(g, tree))
+        b = np.random.default_rng(3).standard_normal((g.n, 4))
+        expected = oracle.solve(b)
+        assert np.abs(solver.solve(b) - expected).max() <= 1e-8 * np.abs(expected).max()
+
+    def test_tree_factor_absorbs_first_batch(self, grid_with_tree):
+        g, tree = grid_with_tree
+        state = SparsifierState(g, tree)
+        solver = state.solver()
         state.add_edges(_off_tree(state)[:3])
-        assert isinstance(state.solver(), DirectSolver)
+        assert state.solver() is solver  # Woodbury on the tree factor
+        fresh = DirectSolver(state.pruned_laplacian().tocsc())
+        b = np.random.default_rng(4).standard_normal((g.n, 2))
+        b -= b.mean(axis=0, keepdims=True)
+        assert np.allclose(solver.solve(b), fresh.solve(b), atol=1e-8)
 
     def test_small_batches_reuse_direct_solver(self, grid_with_tree):
         g, tree = grid_with_tree
