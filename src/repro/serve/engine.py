@@ -253,9 +253,14 @@ class QueryEngine:
         Raises
         ------
         ValueError
-            If ``rhs`` has the wrong number of rows.
+            If ``rhs`` is not 1-D or 2-D, has the wrong number of rows,
+            or has a non-finite entry.
         """
         rhs = np.asarray(rhs, dtype=np.float64)
+        if rhs.ndim not in (1, 2):
+            raise ValueError(f"rhs must be 1-D or 2-D, got {rhs.ndim}-D")
+        if not np.all(np.isfinite(rhs)):
+            raise ValueError("rhs entries must be finite")
         if rhs.shape[0] != self._dyn.graph.n:
             raise ValueError(
                 f"rhs has {rhs.shape[0]} rows, expected {self._dyn.graph.n}"

@@ -36,9 +36,12 @@ Event records use the same shape as the JSONL event-log format
 "u": int, "v": int, "w": float}`` (``w`` absent on deletes), so a
 captured log line can be POSTed verbatim.
 
-Error mapping: malformed JSON or a :class:`ValueError` from the layers
-below → ``400``; an unknown artifact key or route → ``404``.  The
-response body is ``{"error": message}``.
+Error mapping: malformed JSON or a :class:`ValueError`,
+:class:`TypeError` or :class:`OverflowError` from the layers below →
+``400``; an unknown artifact key or route → ``404``; a body longer than
+:data:`MAX_BODY_BYTES` → ``413`` (refused before reading it); any other
+exception → ``500``, with its traceback logged.  The response body is
+``{"error": message}``.
 
 :class:`ServeClient` is the matching in-process client (stdlib
 ``urllib``), used by the CLI, the tests and the benchmark.
@@ -47,6 +50,7 @@ response body is ``{"error": message}``.
 from __future__ import annotations
 
 import json
+import logging
 import threading
 import urllib.error
 import urllib.request
@@ -60,7 +64,13 @@ from repro.obs.alerts import default_serving_rules, evaluate_rules
 from repro.serve.registry import SparsifierRegistry
 from repro.stream.events import EdgeDelete, EdgeEvent, EdgeInsert, WeightUpdate
 
-__all__ = ["ServeClient", "ServiceError", "SparsifierService"]
+__all__ = ["MAX_BODY_BYTES", "ServeClient", "ServiceError", "SparsifierService"]
+
+_LOG = logging.getLogger(__name__)
+
+#: Largest request body the service reads (64 MiB); a longer declared
+#: ``Content-Length`` gets a 413 before any of the body is read.
+MAX_BODY_BYTES = 64 * 1024 * 1024
 
 _EVENT_TYPES = {"insert": EdgeInsert, "delete": EdgeDelete, "update": WeightUpdate}
 _EVENT_NAMES = {cls: name for name, cls in _EVENT_TYPES.items()}
@@ -166,6 +176,14 @@ class _Handler(BaseHTTPRequestHandler):
             # A negative length would make rfile.read wait for EOF.
             self._send(400, {"error": f"invalid Content-Length {header!r}"})
             return
+        if length > MAX_BODY_BYTES:
+            # Refuse before reading: rfile.read would allocate the whole
+            # declared length, or wait for bytes that never come.
+            self._send(413, {
+                "error": f"Content-Length {length} exceeds the "
+                f"{MAX_BODY_BYTES}-byte limit"
+            })
+            return
         raw = self.rfile.read(length)
         try:
             payload = json.loads(raw) if raw else {}
@@ -177,11 +195,18 @@ class _Handler(BaseHTTPRequestHandler):
         except KeyError as exc:
             self._send(404, {"error": str(exc.args[0]) if exc.args else "not found"})
             return
-        except (ValueError, TypeError) as exc:
+        except (ValueError, TypeError, OverflowError) as exc:
             # TypeError covers payloads that are JSON but the wrong
             # shape (e.g. unexpected register parameters, a scalar
-            # where a list belongs) — still the client's fault.
+            # where a list belongs) and OverflowError integers too
+            # large for an index array — still the client's fault.
             self._send(400, {"error": str(exc)})
+            return
+        except Exception:
+            # A bug below the handler: answer instead of dropping the
+            # connection, and keep the traceback for the operator.
+            _LOG.exception("POST %s failed", self.path)
+            self._send(500, {"error": "internal server error"})
             return
         self._send(200, result)
         if self.path == "/shutdown":
@@ -455,6 +480,8 @@ class ServeClient:
                 ) else str(exc)
             except (json.JSONDecodeError, ValueError):  # pragma: no cover
                 message = str(exc)
+            finally:
+                exc.close()  # the error response holds the socket open
             raise ServiceError(exc.code, message, body=body) from exc
 
     def register(self, graph: Graph, **params) -> str:

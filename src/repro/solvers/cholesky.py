@@ -33,6 +33,22 @@ the updated matrix follow from the Woodbury identity
 
     (A + U W Uᵀ)⁻¹ b = A⁻¹ b − Z (W⁻¹ + Uᵀ Z)⁻¹ Uᵀ A⁻¹ b,   Z = A⁻¹ U.
 
+``U`` is never stored as a matrix.  Each column has two nonzeros, so
+the solver keeps, per absorbed edge, the kept-row positions of its two
+endpoints and a 0/1 sign per endpoint (an endpoint at the ground
+vertex has no kept row and gets sign 0).  Every product with ``Uᵀ`` —
+``Uᵀ x`` in a solve, the new capacitance block ``Uᵀ Z`` and the cross
+block against earlier edges — is then a two-row gather and one
+subtraction per entry, which gives the dense product's bits exactly.
+``Z`` lives in one Fortran-order buffer of ``max_update_rank``
+columns, allocated at the first accepted update; each batch writes
+its columns in place.  Absorbing ``b`` edges at accumulated rank ``k``
+costs ``b`` triangular solves, an ``O(k·b)`` gather for the new
+capacitance blocks and an ``O((k+b)³)`` dense capacitance
+factorization.  A solve with ``m`` right-hand sides costs the bare
+triangular solves plus an ``O(k·m)`` gather, a ``k × k`` capacitance
+solve and an ``O(n·k·m)`` product with ``Z``.
+
 Positive deltas are edge additions / weight increases; *negative*
 deltas encode weight decreases and edge deletions (delta ``−w`` removes
 an edge of weight ``w``), which is what the streaming subsystem
@@ -43,6 +59,7 @@ of the (still symmetric, but indefinite) capacitance.  The caller is
 responsible for keeping the *net* edge weights positive — a delta that
 drives an edge weight negative can make the updated matrix indefinite,
 which surfaces here as a singular capacitance and a ``False`` return.
+A rejected batch leaves the solver exactly as it was.
 
 Only when the accumulated update rank crosses ``max_update_rank`` does
 :meth:`DirectSolver.update` ask the caller for a fresh factorization —
@@ -82,6 +99,16 @@ def _factor(matrix: sp.csc_matrix):
     )
 
 
+def _incidence_t(x: np.ndarray, pos: np.ndarray, sign: np.ndarray) -> np.ndarray:
+    """``Uᵀ x`` for the index-form incidence columns ``(pos, sign)``.
+
+    Row i is ``sign[0, i]·x[pos[0, i]] − sign[1, i]·x[pos[1, i]]``: one
+    rounded difference, the same bits a dense product with the ±1/0
+    column would give.
+    """
+    return sign[0][:, None] * x[pos[0]] - sign[1][:, None] * x[pos[1]]
+
+
 class DirectSolver:
     """Factor-once/solve-many direct solver for SPD and Laplacian matrices.
 
@@ -90,6 +117,15 @@ class DirectSolver:
     symmetric positive definite systems this solver is built for: SDD
     matrices with positive diagonal slack and grounded Laplacians of
     connected graphs.
+
+    Edge updates are absorbed by a Woodbury correction whose state is
+    index-form: two kept-row positions and two 0/1 signs per absorbed
+    edge in place of the dense incidence matrix ``U``, ``Z = A⁻¹U`` in
+    one Fortran-order buffer of ``max_update_rank`` columns, and the
+    factored capacitance.  An update costs its own triangular solves
+    plus gathers and a small dense factorization; a corrected solve
+    costs the bare solve plus an ``O(k)`` gather and one ``n × k``
+    product with ``Z`` per right-hand side, at accumulated rank ``k``.
 
     Parameters
     ----------
@@ -102,7 +138,8 @@ class DirectSolver:
     max_update_rank:
         Cap on the accumulated rank of Woodbury edge updates before
         :meth:`update` requests a re-factorization.  Memory for the
-        update state is ``O(n · max_update_rank)``.  Absorbing ``k``
+        update state is the ``n × max_update_rank`` ``Z`` buffer plus
+        the ``O(max_update_rank²)`` capacitance.  Absorbing ``k``
         edges costs ``k`` triangular solves up front, so Woodbury only
         beats re-factorizing for batches well below the factorization
         cost in solve-equivalents (tens of edges on planar-scale
@@ -168,10 +205,13 @@ class DirectSolver:
         else:
             self._lu = _factor(matrix)
             self._keep = None
-        # Accumulated Woodbury update: U (incidence columns of the added
-        # edges, restricted to the kept rows when grounded), Z = A⁻¹U and
-        # the Cholesky factor of the capacitance W⁻¹ + UᵀZ.
-        self._update_U: np.ndarray | None = None
+        # Accumulated Woodbury update in index form: column i of U has
+        # +sign[0, i] at kept row pos[0, i] and -sign[1, i] at pos[1, i];
+        # Z = A⁻¹U fills the first update_rank columns of a buffer made
+        # at the first accepted update; cap factors W⁻¹ + UᵀZ (held in
+        # _update_M for growing it by blocks).
+        self._update_pos = np.empty((2, 0), dtype=np.int64)
+        self._update_sign = np.empty((2, 0), dtype=np.float64)
         self._update_Z: np.ndarray | None = None
         self._update_M: np.ndarray | None = None
         self._update_w = np.empty(0, dtype=np.float64)
@@ -252,26 +292,24 @@ class DirectSolver:
             return self._request_refactor()
         if self.update_rank + u.size > self.max_update_rank:
             return self._request_refactor()
+        pos, sign = self._kept_rows(np.stack([u, v]))
+        rank = self.update_rank
         cols = np.arange(u.size)
-        U_new = np.zeros((self.n, u.size), dtype=np.float64)
-        np.add.at(U_new, (u, cols), 1.0)
-        np.add.at(U_new, (v, cols), -1.0)
-        if self.singular:
-            U_new = U_new[self._keep]
+        U_new = np.zeros((self._lu.shape[0], u.size), dtype=np.float64)
+        U_new[pos[0], cols] += sign[0]
+        U_new[pos[1], cols] -= sign[1]
         Z_new = self._lu.solve(U_new)
-        new_block = np.diag(1.0 / w) + U_new.T @ Z_new
-        if self._update_U is None:
-            U, Z, capacitance = U_new, Z_new, new_block
+        new_block = np.diag(1.0 / w) + _incidence_t(Z_new, pos, sign)
+        if rank == 0:
+            capacitance = new_block
         else:
             # Grow the capacitance by its new blocks only: the existing
             # k x k body is unchanged, so per-batch cost stays
             # proportional to the batch, not the accumulated rank.
-            cross = self._update_U.T @ Z_new
+            cross = _incidence_t(Z_new, self._update_pos, self._update_sign)
             capacitance = np.block(
                 [[self._update_M, cross], [cross.T, new_block]]
             )
-            U = np.hstack([self._update_U, U_new])
-            Z = np.hstack([self._update_Z, Z_new])
         all_w = np.concatenate([self._update_w, w])
         # The capacitance is PD only when every delta is positive; the
         # mixed-sign case (deletions) factors the symmetric indefinite
@@ -299,7 +337,14 @@ class DirectSolver:
                     return self._request_refactor()
         except scipy.linalg.LinAlgError:  # pragma: no cover - defensive
             return self._request_refactor()
-        self._update_U, self._update_Z = U, Z
+        # Commit only now that the capacitance has factored.
+        if self._update_Z is None:
+            self._update_Z = np.empty(
+                (self._lu.shape[0], self.max_update_rank), order="F"
+            )
+        self._update_Z[:, rank : rank + u.size] = Z_new
+        self._update_pos = np.concatenate([self._update_pos, pos], axis=1)
+        self._update_sign = np.concatenate([self._update_sign, sign], axis=1)
         self._update_M = capacitance
         self._update_w = all_w
         self._update_cap = cap
@@ -317,16 +362,29 @@ class DirectSolver:
         ).set(self.update_rank)
         return True
 
+    def _kept_rows(self, ends: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Kept-row positions and 0/1 signs of the vertices in ``ends``.
+
+        Grounding drops the ground vertex's row, shifting every later
+        row up by one.  The ground vertex itself has no kept row: its
+        sign is 0 and its position (0) only keeps the gather in range.
+        """
+        if not self.singular:
+            return ends, np.ones(ends.shape, dtype=np.float64)
+        grounded = ends == self.ground_vertex
+        pos = np.where(grounded, 0, ends - (ends > self.ground_vertex))
+        return pos, (~grounded).astype(np.float64)
+
     def _base_solve(self, rhs: np.ndarray) -> np.ndarray:
         """Factorized solve plus the accumulated Woodbury correction."""
         x = self._lu.solve(rhs)
         if self._update_cap is not None:
-            compressed = self._update_U.T @ x
+            compressed = _incidence_t(x, self._update_pos, self._update_sign)
             if self._cap_is_cholesky:
                 correction = scipy.linalg.cho_solve(self._update_cap, compressed)
             else:
                 correction = scipy.linalg.lu_solve(self._update_cap, compressed)
-            x = x - self._update_Z @ correction
+            x = x - self._update_Z[:, : self.update_rank] @ correction
         return x
 
     def solve(self, b: np.ndarray) -> np.ndarray:

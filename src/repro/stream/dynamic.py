@@ -3,10 +3,16 @@
 :class:`DynamicSparsifier` owns a live host :class:`~repro.graphs.Graph`
 and its spectral sparsifier, and keeps the σ² similarity guarantee as
 edge events stream in — without recomputing from scratch per change.
-A batch costs a vectorized ``O(m)`` floor (canonical-graph rebuild,
-index remap, drift-check solves) plus work proportional to the repairs
-it triggers; the big win over per-batch re-sparsification is skipping
-the tree build and densification loop except when drift demands them.
+A batch costs a vectorized ``O(m)`` floor (host-graph rebuild, index
+remap, and a drift check of ``power_iterations`` solves with the
+carried solver plus one ``L_P`` product taken straight from the masked
+host edges — the sparsifier Laplacian is never rebuilt for it), a
+tier-1 absorption proportional to the batch (its own triangular solves
+and gathers against the index-form Woodbury state of
+:class:`~repro.solvers.cholesky.DirectSolver`), and work proportional
+to the repairs it triggers; the big win over per-batch
+re-sparsification is skipping the tree build and densification loop
+except when drift demands them.
 Each event batch runs through a **three-tier repair policy**:
 
 1. **Local absorption** (cheapest, every batch): inserts, deletions of
@@ -50,6 +56,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
+import scipy.sparse.linalg as spla
 
 from repro.core.context import PipelineContext
 from repro.core.pipeline import SparsifyPipeline
@@ -88,6 +95,28 @@ _DENSIFY_OPTION_KEYS = (
     "max_edges_per_iteration",
     "similarity_mode",
 )
+
+
+def _masked_laplacian(graph: Graph, mask: np.ndarray) -> spla.LinearOperator:
+    """``L_P`` of ``graph.edge_subgraph(mask)``, applied from the host's edges.
+
+    ``L_P x`` is ``Σ_e w_e (x_u − x_v)(e_u − e_v)`` over the masked
+    canonical edges of the host graph, which validated them when it was
+    built: two gathers and two ``np.bincount`` scatters per column, with
+    no subgraph re-canonicalization and no CSR assembly.  The drift
+    check needs ``L_P`` for one Rayleigh denominator, so this stands in
+    for the sparsifier's Laplacian there.
+    """
+    idx = np.flatnonzero(mask)
+    u, v, w = graph.u[idx], graph.v[idx], graph.w[idx]
+    n = graph.n
+
+    def matvec(x: np.ndarray) -> np.ndarray:
+        x = np.ravel(x)
+        flow = w * (x[u] - x[v])
+        return np.bincount(u, flow, minlength=n) - np.bincount(v, flow, minlength=n)
+
+    return spla.LinearOperator((n, n), matvec=matvec, dtype=np.float64)
 
 
 class _DynamicStateView:
@@ -513,7 +542,7 @@ class DynamicSparsifier:
         """
         lam_max = generalized_power_iteration(
             self.graph.laplacian(),
-            self.sparsifier().laplacian(),
+            _masked_laplacian(self.graph, self.edge_mask),
             self._ensure_solver(),
             iterations=self.power_iterations,
             seed=seed,
@@ -782,7 +811,7 @@ class DynamicSparsifier:
             self._batches_since_check = 0
             lam_max = generalized_power_iteration(
                 ng.laplacian(),
-                self.sparsifier().laplacian(),
+                _masked_laplacian(ng, self.edge_mask),
                 self._ensure_solver(),
                 iterations=self.power_iterations,
                 seed=self._rng,

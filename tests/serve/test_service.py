@@ -1,5 +1,8 @@
 """End-to-end tests for the HTTP query service and its client."""
 
+import socket
+from urllib.parse import urlparse
+
 import numpy as np
 import pytest
 
@@ -10,6 +13,7 @@ from repro.serve import (
     SparsifierRegistry,
     SparsifierService,
 )
+from repro.serve.service import MAX_BODY_BYTES
 from repro.stream import EdgeDelete, EdgeInsert, WeightUpdate
 
 
@@ -176,25 +180,83 @@ class TestErrors:
         )
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             urllib.request.urlopen(request, timeout=10)
+        excinfo.value.close()  # the error response holds the socket open
         assert excinfo.value.code == 400
 
     @pytest.mark.parametrize("length", ["-1", "abc"])
     def test_bad_content_length_is_400(self, service, length):
         """A negative or non-integer length gets a 400, not a hang or a
         dropped connection."""
-        import socket
-        from urllib.parse import urlparse
+        status, body = _raw_post(service, length)
+        assert status == 400
+        assert b"Content-Length" in body
 
-        url = urlparse(service.url)
-        request = (
-            f"POST /graphs HTTP/1.1\r\nHost: {url.hostname}\r\n"
-            f"Content-Length: {length}\r\n\r\n"
-        ).encode("ascii")
-        with socket.create_connection((url.hostname, url.port), timeout=5) as sock:
-            sock.sendall(request)
-            reply = b""
-            while chunk := sock.recv(4096):
-                reply += chunk
-        status_line = reply.split(b"\r\n", 1)[0]
-        assert status_line.split()[1] == b"400"
-        assert b"Content-Length" in reply.split(b"\r\n\r\n", 1)[1]
+    @pytest.mark.parametrize(
+        "length, body",
+        [("1000000000000", b""), ("1000000000", b"{}")],
+        ids=["terabyte-no-body", "gigabyte-two-byte-body"],
+    )
+    def test_oversized_content_length_is_413(self, service, length, body):
+        """A declared length above the cap is refused before reading:
+        no allocation of the declared size, no wait for missing bytes."""
+        status, reply = _raw_post(service, length, body)
+        assert status == 413
+        assert str(MAX_BODY_BYTES).encode() in reply
+
+    @pytest.mark.parametrize(
+        "path, payload, reason",
+        [
+            # The overflow messages come from numpy and vary by version.
+            ("/query/resistance", {"pairs": [[0, 10**30]]}, None),
+            ("/query/similarity", {"pairs": [[0, 10**30]]}, None),
+            ("/query/embedding", {"nodes": [10**30]}, None),
+            ("/query/solve", {"rhs": 5}, "1-D or 2-D"),
+            # 81 rows: the grid fixture's vertex count.
+            ("/query/solve", {"rhs": [float("inf")] + [0.0] * 80}, "finite"),
+            ("/graphs", {"n": 10**30, "u": [0], "v": [1], "w": [1.0]}, None),
+        ],
+        ids=[
+            "resistance-huge-vertex", "similarity-huge-vertex",
+            "embedding-huge-node", "solve-scalar-rhs", "solve-infinite-rhs",
+            "graphs-huge-n",
+        ],
+    )
+    def test_malformed_query_is_400(self, client, grid, path, payload, reason):
+        if path != "/graphs":
+            payload = {"key": client.register(grid, sigma2=SIGMA2, seed=0),
+                       **payload}
+        with pytest.raises(ServiceError) as excinfo:
+            client._request("POST", path, payload)
+        assert excinfo.value.status == 400
+        if reason is not None:
+            assert reason in str(excinfo.value)
+
+    def test_unexpected_exception_is_500(self, service, client, monkeypatch):
+        def broken(path, payload):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(service, "_dispatch", broken)
+        with pytest.raises(ServiceError) as excinfo:
+            client._request("POST", "/query/resistance", {})
+        assert excinfo.value.status == 500
+        assert excinfo.value.body == {"error": "internal server error"}
+
+
+def _raw_post(service, length: str, body: bytes = b"") -> tuple[int, bytes]:
+    """POST ``body`` to ``/graphs`` under a raw ``Content-Length`` header.
+
+    Returns the status code and the response body; the 5-s socket
+    timeout turns a server that never answers into a test failure.
+    """
+    url = urlparse(service.url)
+    request = (
+        f"POST /graphs HTTP/1.1\r\nHost: {url.hostname}\r\n"
+        f"Content-Length: {length}\r\n\r\n"
+    ).encode("ascii") + body
+    with socket.create_connection((url.hostname, url.port), timeout=5) as sock:
+        sock.sendall(request)
+        reply = b""
+        while chunk := sock.recv(4096):
+            reply += chunk
+    head, _, payload = reply.partition(b"\r\n\r\n")
+    return int(head.split(b"\r\n", 1)[0].split()[1]), payload

@@ -46,7 +46,8 @@ def _raw_status(url: str) -> tuple[int, dict]:
         with urllib.request.urlopen(request, timeout=30) as response:
             return response.status, json.loads(response.read())
     except urllib.error.HTTPError as exc:
-        return exc.code, json.loads(exc.read())
+        with exc:  # the error response holds the socket open
+            return exc.code, json.loads(exc.read())
 
 
 class TestHealthEndpoint:

@@ -198,6 +198,92 @@ class TestDirectSolverSignedUpdates:
         assert not solver._cap_is_cholesky
 
 
+class TestDirectSolverIndexForm:
+    """Edge cases of the index-form Woodbury state: endpoints at the
+    ground vertex (which keep no row), a full rank budget, and rejected
+    batches that must leave the solver untouched."""
+
+    @staticmethod
+    def _assert_matches_fresh(solver, fresh_laplacian, ground_vertex):
+        fresh = DirectSolver(fresh_laplacian, ground_vertex=ground_vertex)
+        rng = np.random.default_rng(7)
+        block = rng.standard_normal((fresh.n, 3))
+        block -= block.mean(axis=0, keepdims=True)
+        for rhs in (block[:, 0], block, np.asfortranarray(block)):
+            assert np.allclose(solver.solve(rhs), fresh.solve(rhs), atol=1e-8)
+
+    @pytest.mark.parametrize("ground_vertex", [0, 17])
+    def test_additions_at_ground_vertex(self, grid, ground_vertex):
+        at_ground = np.flatnonzero(
+            (grid.u == ground_vertex) | (grid.v == ground_vertex)
+        )
+        # Drop all but one edge at the ground vertex, plus one elsewhere,
+        # then add them back in one batch, every other edge reversed so
+        # the ground vertex shows up as both u and v.
+        away = np.flatnonzero((grid.u > ground_vertex + 20))[:1]
+        added = np.concatenate([at_ground[:-1], away])
+        mask = np.ones(grid.num_edges, dtype=bool)
+        mask[added] = False
+        solver = DirectSolver(
+            grid.edge_subgraph(mask).laplacian(), ground_vertex=ground_vertex
+        )
+        us, vs = grid.u[added].copy(), grid.v[added].copy()
+        us[::2], vs[::2] = grid.v[added][::2], grid.u[added][::2]
+        assert solver.update(us, vs, grid.w[added])
+        self._assert_matches_fresh(solver, grid.laplacian(), ground_vertex)
+
+    @pytest.mark.parametrize("ground_vertex", [0, 17])
+    def test_mixed_sign_batch_at_ground_vertex(self, grid, ground_vertex):
+        at_ground = np.flatnonzero(
+            (grid.u == ground_vertex) | (grid.v == ground_vertex)
+        )
+        solver = DirectSolver(grid.laplacian(), ground_vertex=ground_vertex)
+        # Delete one edge at the ground vertex, strengthen the others.
+        drop, grow = at_ground[:1], at_ground[1:]
+        delta = np.concatenate([-grid.w[drop], 0.5 * grid.w[grow]])
+        picked = np.concatenate([drop, grow])
+        assert solver.update(grid.u[picked], grid.v[picked], delta)
+        new_w = grid.w.copy()
+        new_w[grow] *= 1.5
+        keep = np.ones(grid.num_edges, dtype=bool)
+        keep[drop] = False
+        reference = grid.reweighted(new_w).edge_subgraph(keep)
+        self._assert_matches_fresh(solver, reference.laplacian(), ground_vertex)
+
+    def test_full_budget_then_one_more_edge(self, grid):
+        base_mask, _, update = _split(grid, 14)
+        solver = DirectSolver(
+            grid.edge_subgraph(base_mask).laplacian(), max_update_rank=6
+        )
+        first, second, extra = update[:4], update[4:6], update[6:7]
+        assert solver.update(grid.u[first], grid.v[first], grid.w[first])
+        assert solver.update(grid.u[second], grid.v[second], grid.w[second])
+        assert solver.update_rank == solver.max_update_rank
+        full_mask = base_mask.copy()
+        full_mask[update[:6]] = True
+        self._assert_matches_fresh(
+            solver, grid.edge_subgraph(full_mask).laplacian(), 0
+        )
+        b = np.random.default_rng(8).standard_normal((grid.n, 2))
+        before = solver.solve(b)
+        assert not solver.update(grid.u[extra], grid.v[extra], grid.w[extra])
+        assert solver.update_rank == 6
+        assert np.array_equal(solver.solve(b), before)
+
+    def test_singular_capacitance_rejection_leaves_solves_untouched(self):
+        g = generators.path_graph(6)
+        solver = DirectSolver(g.laplacian())
+        # Existing Woodbury state: double the weight of edge (0, 1).
+        assert solver.update(np.array([0]), np.array([1]), np.array([1.0]))
+        b = np.random.default_rng(9).standard_normal(g.n)
+        before = solver.solve(b)
+        # Deleting the bridge (2, 3) disconnects the path.
+        assert not solver.update(np.array([2]), np.array([3]), np.array([-1.0]))
+        assert solver.update_rank == 1
+        assert solver._cap_is_cholesky
+        assert np.array_equal(solver.solve(b), before)
+
+
 class TestTreeSolverUpdate:
     def test_any_edge_forces_rebuild(self, grid):
         tree = low_stretch_tree(grid, seed=0)

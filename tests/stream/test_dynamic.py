@@ -234,6 +234,35 @@ class TestTier3DriftMonitor:
         offline = estimate_condition_number(dyn.graph, dyn.sparsifier(), seed=0)
         assert est1.lambda_min == pytest.approx(offline.lambda_min)
 
+    def test_drift_check_lp_matches_sparsifier_laplacian(
+        self, grid, monkeypatch
+    ):
+        """The drift check and quality() apply ``L_P`` from the host's
+        masked edges; it must equal the materialized sparsifier's
+        Laplacian on vectors and on blocks."""
+        import repro.stream.dynamic as dynamic
+
+        seen = []
+        real = dynamic.generalized_power_iteration
+
+        def spy(LG, LP, *args, **kwargs):
+            seen.append((LP, dyn.graph, dyn.edge_mask.copy()))
+            return real(LG, LP, *args, **kwargs)
+
+        monkeypatch.setattr(dynamic, "generalized_power_iteration", spy)
+        dyn = DynamicSparsifier(grid, sigma2=150.0, seed=0)
+        events = random_event_stream(grid, 40, seed=11)
+        reports = dyn.apply_log(events, batch_size=8)
+        dyn.quality()
+        assert len(seen) == sum(r.checked for r in reports) + 1
+        rng = np.random.default_rng(0)
+        for LP, graph, mask in seen:
+            reference = graph.edge_subgraph(mask).laplacian()
+            x = rng.standard_normal(graph.n)
+            block = rng.standard_normal((graph.n, 3))
+            assert np.allclose(LP @ x, reference @ x, rtol=0, atol=1e-12)
+            assert np.allclose(LP @ block, reference @ block, rtol=0, atol=1e-12)
+
 
 class TestApplyLog:
     def test_batching(self, grid, dyn):
