@@ -20,21 +20,12 @@ time.
   composition orders stages so that a requirement is only produced by
   a *later* stage (names absent from the whole composition are assumed
   to be pre-mounted on the context and are not flagged).
-- **R205** — a ``ctx.kernel(...)`` dispatch whose kernel name is not a
-  string literal, or names no registered kernel: the dataflow of such
-  a call cannot be checked statically, so the contract rules would
-  silently under-approximate.
 
 The analysis understands the repo's loop-driver idiom: stage instances
 assigned to ``self.<attr>`` in ``__init__`` contribute their
 ``provides`` to the driver's available names, and calls to context
 helpers (``ctx.ensure_state()``) count as reads/writes of the names
 they touch (:data:`~repro.analysis.framework.CONTEXT_METHOD_EFFECTS`).
-Since the kernel-backend refactor, stages delegate their body to
-``ctx.kernel("<name>")``; each such dispatch counts as reading/writing
-the registered kernel's declared dataflow
-(:data:`~repro.analysis.framework.KERNEL_DISPATCH_EFFECTS`, pinned to
-``repro.kernels.registry.KERNELS`` by a cross-check test).
 """
 
 from __future__ import annotations
@@ -46,7 +37,6 @@ from typing import Iterator
 from repro.analysis.finding import Finding
 from repro.analysis.framework import (
     CONTEXT_METHOD_EFFECTS,
-    KERNEL_DISPATCH_EFFECTS,
     LintRun,
     ParsedModule,
     Rule,
@@ -87,10 +77,6 @@ class StageInfo:
     reads, writes:
         ``ctx.<attr>`` loads/stores inferred from the method bodies,
         mapped to the first line each was seen on.
-    kernel_issues:
-        ``(lineno, message)`` pairs for ``ctx.kernel(...)`` dispatches
-        whose dataflow could not be resolved statically (unknown or
-        non-literal kernel name) — reported as R205.
     """
 
     name: str
@@ -101,7 +87,6 @@ class StageInfo:
     child_classes: list = field(default_factory=list)
     reads: dict = field(default_factory=dict)
     writes: dict = field(default_factory=dict)
-    kernel_issues: list = field(default_factory=list)
 
 
 def _is_stage_class(node: ast.ClassDef) -> bool:
@@ -212,13 +197,8 @@ def _extract_ctx_usage(
             if not isinstance(func_expr, ast.Attribute):
                 continue
             target = func_expr.value
-            # ctx.kernel("<name>") dispatches to a registered kernel;
-            # its declared dataflow counts as this stage's reads/writes.
-            if (isinstance(target, ast.Name) and target.id == param
-                    and func_expr.attr == "kernel"):
-                _extract_kernel_dispatch(node, info)
             # ctx.helper() with declared dataflow effects.
-            elif (isinstance(target, ast.Name) and target.id == param
+            if (isinstance(target, ast.Name) and target.id == param
                     and func_expr.attr in CONTEXT_METHOD_EFFECTS):
                 reads, writes = CONTEXT_METHOD_EFFECTS[func_expr.attr]
                 for name in reads:
@@ -233,35 +213,9 @@ def _extract_ctx_usage(
                 _record(info.writes, target.attr, node.lineno)
 
 
-def _extract_kernel_dispatch(node: ast.Call, info: StageInfo) -> None:
-    """Resolve one ``ctx.kernel(...)`` call's dataflow, or record R205."""
-    arg = node.args[0] if node.args else None
-    if not (isinstance(arg, ast.Constant) and isinstance(arg.value, str)):
-        info.kernel_issues.append((
-            node.lineno,
-            "ctx.kernel(...) dispatch with a non-literal kernel name "
-            "(dataflow cannot be checked statically)",
-        ))
-        return
-    effects = KERNEL_DISPATCH_EFFECTS.get(arg.value)
-    if effects is None:
-        known = ", ".join(sorted(KERNEL_DISPATCH_EFFECTS))
-        info.kernel_issues.append((
-            node.lineno,
-            f"ctx.kernel({arg.value!r}) dispatches to an unknown kernel "
-            f"(known: {known})",
-        ))
-        return
-    reads, writes = effects
-    for name in reads:
-        _record(info.reads, name, node.lineno)
-    for name in writes:
-        _record(info.writes, name, node.lineno)
-
-
 @register
 class StageContractRule(Rule):
-    """R201–R203, R205: per-class contract checks of every ``Stage`` subclass."""
+    """R201–R203: per-class contract checks of every ``Stage`` subclass."""
 
     rule_id = "R201"
     title = "stage contract drift"
@@ -293,9 +247,8 @@ class StageContractRule(Rule):
         Returns
         -------
         Iterator[Finding]
-            R201 (undeclared read), R202 (undeclared write), R203
-            (dead declaration) and R205 (unresolvable kernel dispatch)
-            findings for stages in this module.
+            R201 (undeclared read), R202 (undeclared write) and R203
+            (dead declaration) findings for stages in this module.
         """
         flowing = run.config.context_flowing
         path = str(module.path)
@@ -336,12 +289,6 @@ class StageContractRule(Rule):
                     path, info.lineno, 0, "R203",
                     f"stage '{info.name}' declares provides={name!r} but "
                     "never writes it (dead declaration)",
-                    symbol=info.name,
-                )
-            for lineno, message in info.kernel_issues:
-                yield Finding(
-                    path, lineno, 0, "R205",
-                    f"stage '{info.name}': {message}",
                     symbol=info.name,
                 )
 

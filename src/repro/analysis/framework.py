@@ -52,10 +52,7 @@ CONTEXT_KNOBS = frozenset({
     "graph", "rng", "sigma2", "tree_method", "t", "num_vectors",
     "power_iterations", "max_iterations", "max_edges_per_iteration",
     "similarity_mode", "solver_method", "max_update_rank",
-    "amg_rebuild_every", "kernel_backend", "estimator_backend",
-    "estimator_refresh", "probes", "reuse_embedding",
-    "embedding_reused", "estimator_cache", "converged", "iterations",
-    "profile",
+    "amg_rebuild_every", "converged", "iterations", "profile",
 })
 
 #: Context names that *flow* between stages (None/NaN until a stage or
@@ -75,42 +72,6 @@ CONTEXT_METHOD_EFFECTS = {
     "ensure_state": (("tree_indices", "state"), ("state",)),
     "edge_cap": (("max_edges_per_iteration",), ()),
 }
-
-#: Dataflow effects of ``ctx.kernel("<name>")`` dispatch, per kernel:
-#: ``name -> (reads, writes)``.  Must mirror the ``reads``/``writes``
-#: declared by ``repro.kernels.registry.KERNELS`` exactly — the
-#: cross-check test in ``tests/analysis`` pins the two tables to each
-#: other — so stages that delegate their body to a kernel still lint
-#: clean under the R201–R204 contract rules.  A dispatch with an
-#: unknown or non-literal kernel name is flagged R205.
-KERNEL_DISPATCH_EFFECTS = {
-    "lsst": (
-        ("graph", "rng", "tree_method"),
-        ("tree_indices",),
-    ),
-    "embedding": (
-        ("state", "rng", "graph", "t", "num_vectors",
-         "reuse_embedding", "probes", "estimator_cache"),
-        ("off_tree", "heats", "probes", "embedding_reused",
-         "estimator_cache"),
-    ),
-    "estimator": (
-        ("state", "rng", "power_iterations", "sigma2", "probes",
-         "estimator_cache", "estimator_backend", "estimator_refresh"),
-        ("lambda_max", "lambda_min", "sigma2_estimate",
-         "reuse_embedding"),
-    ),
-    "filtering": (
-        ("state", "off_tree", "heats", "lambda_max", "sigma2", "t"),
-        ("threshold", "candidates", "lambda_min"),
-    ),
-    "scoring": (
-        ("state", "graph", "candidates", "similarity_mode",
-         "max_edges_per_iteration"),
-        ("added",),
-    ),
-}
-
 
 @dataclass(frozen=True)
 class LintConfig:
@@ -141,12 +102,10 @@ class LintConfig:
     rng_module: str = "utils/rng.py"
     order_sensitive: tuple = (
         "repro/sparsify/", "repro/trees/", "repro/core/", "repro/stream/",
-        "repro/kernels/",
     )
     docstring_packages: tuple = (
         "repro/sparsify/", "repro/solvers/", "repro/stream/",
-        "repro/serve/", "repro/core/", "repro/analysis/",
-        "repro/kernels/", "repro/obs/",
+        "repro/serve/", "repro/core/", "repro/analysis/", "repro/obs/",
     )
     locked_method_suffix: str = "_locked"
     context_knobs: frozenset = CONTEXT_KNOBS

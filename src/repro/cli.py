@@ -199,18 +199,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sparsify.add_argument("--backend", default="auto",
                             choices=["auto", "serial", "thread", "process"],
                             help="shard execution backend (default auto)")
-    p_sparsify.add_argument("--kernel-backend", default="reference",
-                            choices=["auto", "reference", "vectorized",
-                                     "numba"],
-                            help="hot-kernel implementation family; all "
-                                 "backends are bit-identical (default "
-                                 "reference)")
-    p_sparsify.add_argument("--estimator-backend", default="reference",
-                            choices=["auto", "reference", "perturbation"],
-                            help="sigma^2 estimation strategy; perturbation "
-                                 "skips most per-round solves under a "
-                                 "quality contract instead of bit-parity "
-                                 "(default reference; auto = perturbation)")
     p_sparsify.add_argument("--profile", action="store_true",
                             help="print the pipeline's per-stage "
                                  "timing/counter table (sharded runs "
@@ -251,17 +239,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_stream.add_argument("--check-every", type=int, default=1,
                           help="drift-check cadence in batches (default 1; "
                                "ignored with --resume)")
-    p_stream.add_argument("--kernel-backend", default="reference",
-                          choices=["auto", "reference", "vectorized",
-                                   "numba"],
-                          help="hot-kernel implementation family (default "
-                               "reference; ignored with --resume, which "
-                               "restores the checkpointed choice)")
-    p_stream.add_argument("--estimator-backend", default="reference",
-                          choices=["auto", "reference", "perturbation"],
-                          help="sigma^2 estimation strategy (default "
-                               "reference; ignored with --resume, which "
-                               "restores the checkpointed choice)")
     p_stream.add_argument("-o", "--output", default=None,
                           help="write the final sparsifier adjacency (.mtx)")
     p_stream.add_argument("--checkpoint-out", default=None,
@@ -443,8 +420,7 @@ def _cmd_sparsify(args: argparse.Namespace) -> int:
         result = sparsify_graph(
             graph, sigma2=args.sigma2, tree_method=args.tree, seed=args.seed,
             workers=args.workers, shard_max_nodes=args.shard_max_nodes,
-            backend=args.backend, kernel_backend=args.kernel_backend,
-            estimator_backend=args.estimator_backend,
+            backend=args.backend,
         )
     write_matrix_market(
         args.output,
@@ -465,8 +441,7 @@ def _cmd_sparsify(args: argparse.Namespace) -> int:
         config = {
             "input": args.input, "sigma2": args.sigma2, "tree": args.tree,
             "workers": args.workers, "shard_max_nodes": args.shard_max_nodes,
-            "backend": args.backend, "kernel_backend": args.kernel_backend,
-            "estimator_backend": args.estimator_backend,
+            "backend": args.backend,
         }
         RunLedger(args.ledger).append(
             RunRecord.from_result(result, config=config, seed=args.seed)
@@ -499,8 +474,6 @@ def _cmd_stream(args: argparse.Namespace) -> int:
                 graph, sigma2=args.sigma2, seed=args.seed,
                 drift_tolerance=args.drift_tolerance,
                 check_every=args.check_every,
-                kernel_backend=args.kernel_backend,
-                estimator_backend=args.estimator_backend,
             )
             print(f"initial sparsifier: {dyn.num_edges} edges over "
                   f"{graph.n} vertices (sigma2 estimate "
@@ -544,8 +517,6 @@ def _cmd_stream(args: argparse.Namespace) -> int:
         config = {
             "events": args.events, "batch_size": args.batch_size,
             "sigma2": float(dyn.sigma2), "resume": args.resume,
-            "kernel_backend": args.kernel_backend,
-            "estimator_backend": args.estimator_backend,
         }
         metrics = {
             "num_events": len(events),

@@ -53,38 +53,6 @@ class PipelineContext:
     max_update_rank, amg_rebuild_every:
         The algorithm knobs, with the same semantics and defaults as
         :class:`~repro.sparsify.SimilarityAwareSparsifier`.
-    kernel_backend:
-        Hot-kernel implementation family (``"reference"``,
-        ``"vectorized"``, ``"numba"`` or ``"auto"``); resolved on
-        construction to a backend runnable in this environment (see
-        :func:`repro.kernels.registry.resolve_backend`).  Every
-        backend is bit-identical, so this knob changes speed only.
-    estimator_backend:
-        σ²-estimator kernel family (``"reference"``,
-        ``"perturbation"`` or ``"auto"``); resolved on construction
-        (see :func:`repro.kernels.registry.resolve_estimator_backend`,
-        ``"auto"`` → ``"perturbation"``).  Unlike ``kernel_backend``
-        this is an *algorithmic* substitute contracted by a σ² quality
-        bound, not bit-parity: ``"perturbation"`` replaces most
-        per-round power-iteration solves with GRASS-style first-order
-        perturbation bounds from cached probe vectors.
-    estimator_refresh:
-        With the perturbation estimator, how many consecutive
-        densification rounds may reuse one probe-vector block before a
-        fresh (solve-backed) embedding is forced; ≥ 1.
-    probes:
-        Cached ``(n, r)`` propagated probe block from the latest fresh
-        embedding (enables solve-free reuse rounds); ``None`` until an
-        embedding kernel ran.
-    reuse_embedding:
-        Estimator's decision for the *next* embedding dispatch: reuse
-        the cached probe block (no solves) instead of re-embedding.
-    embedding_reused:
-        Whether the latest embedding dispatch actually reused the
-        cached block (drives the densifier's dry-round retry).
-    estimator_cache:
-        Scratch dict owned by the estimator kernel (anchor eigenvector,
-        rounds-since-embed counter).
     initial_mask:
         Optional starting sparsifier mask (the §3.1(c) incremental
         improvement path).
@@ -124,13 +92,6 @@ class PipelineContext:
     solver_method: str = "auto"
     max_update_rank: int = 64
     amg_rebuild_every: int = 8
-    kernel_backend: str = "reference"
-    estimator_backend: str = "reference"
-    estimator_refresh: int = 3
-    probes: np.ndarray | None = None
-    reuse_embedding: bool = False
-    embedding_reused: bool = False
-    estimator_cache: dict = field(default_factory=dict)
     initial_mask: np.ndarray | None = None
     tree_indices: np.ndarray | None = None
     state: object | None = None
@@ -157,21 +118,6 @@ class PipelineContext:
             )
         self.sigma2 = float(self.sigma2)
         self.rng = as_rng(self.rng)
-        if self.estimator_refresh < 1:
-            raise ValueError(
-                f"estimator_refresh must be >= 1, got {self.estimator_refresh}"
-            )
-        # Deferred import: repro.kernels reaches back into the sparsify
-        # package, which imports repro.core at module level.
-        from repro.kernels.registry import (
-            resolve_backend,
-            resolve_estimator_backend,
-        )
-
-        self.kernel_backend = resolve_backend(self.kernel_backend)
-        self.estimator_backend = resolve_estimator_backend(
-            self.estimator_backend
-        )
         if self.tree_indices is not None:
             self.tree_indices = np.asarray(self.tree_indices, dtype=np.int64)
 
@@ -233,35 +179,6 @@ class PipelineContext:
                 amg_rebuild_every=self.amg_rebuild_every,
             )
         return self.state
-
-    def kernel(self, name: str) -> dict | None:
-        """Run one registered hot kernel on this context's backend.
-
-        The kernel's wiring gathers its inputs from and writes its
-        outputs back to this context; stages dispatch their bodies
-        through this helper (``repro lint`` charges the dispatch with
-        the kernel's declared dataflow, see
-        :data:`repro.analysis.framework.KERNEL_DISPATCH_EFFECTS`).
-
-        Parameters
-        ----------
-        name:
-            A :data:`repro.kernels.registry.KERNELS` key (``"lsst"``,
-            ``"embedding"``, ``"filtering"``, ``"scoring"``).
-
-        Returns
-        -------
-        dict or None
-            The kernel wiring's profile counters.
-
-        Raises
-        ------
-        ValueError
-            If ``name`` is not a registered kernel.
-        """
-        from repro.kernels.registry import run_kernel
-
-        return run_kernel(self, name)
 
     def edge_cap(self) -> int:
         """Off-tree edges addable per densification iteration.

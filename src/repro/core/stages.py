@@ -1,13 +1,9 @@
 """The paper's loop as first-class pipeline stages.
 
-The four hot stage bodies (tree, embedding, filter, similarity)
-dispatch through the kernel registry (``ctx.kernel(name)``, see
-:mod:`repro.kernels.registry`): the context's ``kernel_backend`` knob
-selects the implementation family, and the ``reference`` backend is
-the pre-refactor code unchanged — the golden-parity suite in
-``tests/core/test_golden_parity.py`` pins the produced masks and trees
-bit-identical to the originals for fixed seeds, for *every* backend.
-Mapping to the paper:
+Each stage body calls its one paper routine directly; the golden-parity
+suite in ``tests/core/test_golden_parity.py`` pins the produced masks
+and trees bit-identical to a frozen copy of the pre-refactor loop for
+fixed seeds.  Mapping to the paper:
 
 =================  =====================================================
 Stage              Paper reference
@@ -30,15 +26,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.core.context import PipelineContext
 from repro.core.stage import Stage
-from repro.obs import get_tracer
+from repro.obs import get_metrics, get_tracer
+from repro.spectral.extreme import generalized_power_iteration
+from repro.trees.lsst import low_stretch_tree
 from repro.utils.timing import Timer
 
-# The sparsify kernels (rescaling) and the kernel registry are imported
-# inside the stage bodies: repro.sparsify's public modules are
-# themselves pipeline consumers, so a module-level import here would
-# close an import cycle through the package __init__.
+# The sparsify routines (embedding, filtering, similarity, rescaling)
+# are imported inside the stage bodies: repro.sparsify's public modules
+# are themselves pipeline consumers, so a module-level import here
+# would close an import cycle through the package __init__.
 
 __all__ = [
     "DensifyIteration",
@@ -94,7 +94,10 @@ class TreeStage(Stage):
         dict
             ``{"edges": <backbone size>}``.
         """
-        return ctx.kernel("lsst")
+        ctx.tree_indices = low_stretch_tree(
+            ctx.graph, method=ctx.tree_method, seed=ctx.rng
+        )
+        return {"edges": int(ctx.tree_indices.size)}
 
 
 class EstimateStage(Stage):
@@ -102,17 +105,14 @@ class EstimateStage(Stage):
 
     name = "estimate"
     requires = ("state", "rng")
-    provides = ("lambda_max", "lambda_min", "sigma2_estimate",
-                "reuse_embedding")
+    provides = ("lambda_max", "lambda_min", "sigma2_estimate")
 
     def run(self, ctx: PipelineContext) -> dict:
         """Refresh ``lambda_max``/``lambda_min``/``sigma2_estimate``.
 
-        The context's ``estimator_backend`` selects the implementation:
-        ``reference`` runs the solve-backed generalized power
-        iteration; ``perturbation`` answers most rounds from
-        first-order Rayleigh bounds over cached probe vectors and only
-        spends solves to confirm an apparent certification.
+        λmax comes from ``power_iterations`` generalized power steps
+        against the state's warm solver (one solve each), λmin from
+        the state's cached degrees (Eq. 18).
 
         Parameters
         ----------
@@ -124,7 +124,23 @@ class EstimateStage(Stage):
         dict
             ``{"solves": <power-iteration solves spent>}``.
         """
-        return ctx.kernel("estimator")
+        state = ctx.state
+        ctx.lambda_min = state.lambda_min()
+        solver = state.solver()
+        ctx.lambda_max = float(generalized_power_iteration(
+            state.host_laplacian,
+            state.laplacian,
+            solver,
+            iterations=ctx.power_iterations,
+            seed=ctx.rng,
+        ))
+        ctx.sigma2_estimate = ctx.lambda_max / ctx.lambda_min
+        get_metrics().gauge(
+            "repro_sigma2_estimate",
+            "Relative condition number lambda_max/lambda_min after the "
+            "latest estimate stage.",
+        ).set(ctx.sigma2_estimate)
+        return {"solves": int(ctx.power_iterations)}
 
 
 class EmbeddingStage(Stage):
@@ -132,11 +148,13 @@ class EmbeddingStage(Stage):
 
     name = "embedding"
     requires = ("state", "rng")
-    provides = ("off_tree", "heats", "probes", "embedding_reused",
-                "estimator_cache")
+    provides = ("off_tree", "heats")
 
     def run(self, ctx: PipelineContext) -> dict:
         """Compute ``off_tree`` indices and their heats.
+
+        The ``(n, r)`` probe block is propagated through one batched
+        multi-RHS solve per power step against the state's solver.
 
         Parameters
         ----------
@@ -148,7 +166,31 @@ class EmbeddingStage(Stage):
         dict
             ``{"off_tree": <candidates scored>, "probe_vectors": r}``.
         """
-        return ctx.kernel("embedding")
+        from repro.sparsify.edge_embedding import (
+            default_num_vectors,
+            joule_heats,
+        )
+
+        state = ctx.state
+        ctx.off_tree = np.flatnonzero(~state.edge_mask)
+        ctx.heats = joule_heats(
+            ctx.graph,
+            state.solver(),
+            ctx.off_tree,
+            t=ctx.t,
+            num_vectors=ctx.num_vectors,
+            seed=ctx.rng,
+            LG=state.host_laplacian,
+        )
+        probes = (
+            ctx.num_vectors
+            if ctx.num_vectors is not None
+            else default_num_vectors(ctx.graph.n)
+        )
+        return {
+            "off_tree": int(ctx.off_tree.size),
+            "probe_vectors": int(probes),
+        }
 
 
 class FilterStage(Stage):
@@ -176,7 +218,15 @@ class FilterStage(Stage):
         dict
             ``{"candidates": <passing count>}``.
         """
-        return ctx.kernel("filtering")
+        from repro.sparsify.filtering import filter_edges, heat_threshold
+
+        ctx.lambda_min = ctx.state.lambda_min()
+        ctx.threshold = heat_threshold(
+            ctx.sigma2, ctx.lambda_min, ctx.lambda_max, t=ctx.t
+        )
+        decision = filter_edges(ctx.heats, ctx.threshold)
+        ctx.candidates = ctx.off_tree[decision.passing]
+        return {"candidates": int(ctx.candidates.size)}
 
 
 class SimilarityStage(Stage):
@@ -199,7 +249,16 @@ class SimilarityStage(Stage):
         dict
             ``{"added": <edges added this pass>}``.
         """
-        return ctx.kernel("scoring")
+        from repro.sparsify.edge_similarity import select_dissimilar
+
+        ctx.added = select_dissimilar(
+            ctx.graph,
+            ctx.candidates,
+            max_edges=ctx.edge_cap(),
+            mode=ctx.similarity_mode,
+        )
+        ctx.state.add_edges(ctx.added)
+        return {"added": int(ctx.added.size)}
 
 
 class DensifyStage(Stage):
@@ -232,8 +291,7 @@ class DensifyStage(Stage):
 
     name = "densify"
     provides = ("state", "edge_mask", "iterations", "converged",
-                "sigma2_estimate", "lambda_min", "probes",
-                "reuse_embedding")
+                "sigma2_estimate", "lambda_min")
     child_names = (
         "densify.estimate",
         "densify.embedding",
@@ -326,13 +384,6 @@ class DensifyStage(Stage):
             )
             total_added += int(ctx.added.size)
             if ctx.added.size == 0:
-                if ctx.embedding_reused:
-                    # The dry round scored stale cached probes; force a
-                    # fresh solve-backed embedding before concluding the
-                    # filter has truly run dry.
-                    ctx.probes = None
-                    ctx.reuse_embedding = False
-                    continue
                 # Filter passed nothing although the similarity target
                 # is unmet — the estimates have converged as far as the
                 # embedding can certify.
@@ -358,12 +409,6 @@ class DensifyStage(Stage):
             self._step(ctx, self._similarity)
             total_added += int(ctx.added.size)
             if ctx.added.size == 0:
-                if ctx.embedding_reused:
-                    # Same retry as the batch cadence: never conclude
-                    # dryness from stale cached probes.
-                    ctx.probes = None
-                    ctx.reuse_embedding = False
-                    continue
                 break  # filter is dry; estimates are as certified as
                 # the embedding allows (same stop rule as the batch).
             self._step(ctx, self._estimate)

@@ -1,6 +1,6 @@
 """Unified observability layer: tracing, metrics, ambient wiring.
 
-Every instrumented call site — pipeline stages, kernel dispatch,
+Every instrumented call site — pipeline stages, shard orchestration,
 solvers, streaming repair, the serving tier — reaches observability
 through two ambient accessors::
 

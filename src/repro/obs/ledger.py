@@ -6,8 +6,8 @@ Two complementary durable records of "what happened when we ran":
   :class:`RunRecord` per run: the configuration knobs, seed, σ²
   outcome, edge counts, per-stage timings
   (:meth:`~repro.core.profile.PipelineProfile.as_dict` shape) and an
-  :func:`environment_fingerprint` (git commit, python/platform, numba
-  availability) so cross-run diffs can explain outliers.  The
+  :func:`environment_fingerprint` (git commit, python/platform and
+  library versions) so cross-run diffs can explain outliers.  The
   ``sparsify``/``stream`` CLIs append behind ``--ledger`` and the
   benchmark ``record`` fixture mirrors every ``BENCH_*.json`` record
   into ``BENCH_LEDGER.jsonl``; ``repro obs runs list/show/diff``
@@ -68,11 +68,8 @@ def environment_fingerprint() -> dict:
     -------
     dict
         ``git_commit``, ``python``, ``implementation``, ``platform``,
-        ``machine``, ``numpy``, ``scipy`` and ``numba`` (availability
-        flag, not a version — numba is an optional dependency).
+        ``machine``, ``numpy`` and ``scipy``.
     """
-    import importlib.util
-
     import numpy
     import scipy
 
@@ -97,7 +94,6 @@ def environment_fingerprint() -> dict:
         "machine": platform.machine(),
         "numpy": numpy.__version__,
         "scipy": scipy.__version__,
-        "numba": importlib.util.find_spec("numba") is not None,
     }
 
 
@@ -113,7 +109,7 @@ class RunRecord:
         UTC ISO timestamp stamped by :meth:`capture`.
     config:
         The knobs that shaped the run (σ² target, tree method, worker
-        count, kernel backend, batch size, ...).
+        count, batch size, ...).
     seed:
         The run's RNG seed (``None`` for runs without one).
     metrics:

@@ -2,12 +2,12 @@
 
 Three metric kinds cover every signal the instrumented layers emit:
 
-- :class:`Counter` — monotone totals (kernel calls, CG iterations,
-  registry hits/misses, repair-tier activations).
+- :class:`Counter` — monotone totals (solver solves, CG iterations,
+  registry hits/misses, repair-tier activations, HTTP errors).
 - :class:`Gauge` — last-observed values (streaming drift ratio,
   Woodbury update rank, resident artifact count).
 - :class:`Histogram` — fixed-bucket distributions (request latency,
-  micro-batch flush sizes, per-kernel timings) with Prometheus
+  micro-batch flush sizes) with Prometheus
   cumulative-``le`` semantics and quantile estimation for p50/p99
   reporting.
 

@@ -122,7 +122,7 @@ class SpanRecord:
     Attributes
     ----------
     name, category:
-        The span's identity (categories: ``stage``, ``kernel``,
+        The span's identity (categories: ``stage``, ``shard``,
         ``solver``, ``stream``, ``serve``, ...).
     start, duration:
         Seconds relative to the tracer's epoch / wall seconds.
@@ -200,7 +200,7 @@ class Tracer:
             trace nests ``densify.embedding`` under ``densify``).
         category:
             Coarse subsystem tag used for filtering (``stage``,
-            ``kernel``, ``solver``, ``stream``, ``serve``).
+            ``shard``, ``solver``, ``stream``, ``serve``).
         **args:
             Initial annotations (more via :meth:`Span.annotate`).
 

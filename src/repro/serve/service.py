@@ -16,8 +16,9 @@ GET      ``/stats``             registry snapshot (keys, residency, counters,
                                 metrics-registry snapshot)
 GET      ``/metrics``           Prometheus text exposition of the process
                                 metrics registry (latency histograms,
-                                registry hit/miss counters, solver/kernel
-                                counters — ``text/plain``, not JSON)
+                                registry hit/miss counters, solver and
+                                HTTP error counters — ``text/plain``,
+                                not JSON)
 GET      ``/health``            SLO alert-rule evaluation over the live
                                 metrics snapshot — ``200`` when every
                                 rule passes, ``503`` otherwise, with a
@@ -41,7 +42,8 @@ Error mapping: malformed JSON or a :class:`ValueError`,
 ``400``; an unknown artifact key or route → ``404``; a body longer than
 :data:`MAX_BODY_BYTES` → ``413`` (refused before reading it); any other
 exception → ``500``, with its traceback logged.  The response body is
-``{"error": message}``.
+``{"error": message}``, and every response with a status ≥ 400 bumps
+``repro_http_errors_total{endpoint,status}``.
 
 :class:`ServeClient` is the matching in-process client (stdlib
 ``urllib``), used by the CLI, the tests and the benchmark.
@@ -76,7 +78,8 @@ _EVENT_TYPES = {"insert": EdgeInsert, "delete": EdgeDelete, "update": WeightUpda
 _EVENT_NAMES = {cls: name for name, cls in _EVENT_TYPES.items()}
 
 #: Known routes — the label space of the per-endpoint latency histogram
-#: (unknown paths pool under ``"other"`` so labels stay bounded).
+#: and error counter (unknown paths pool under ``"other"`` so labels
+#: stay bounded).
 _ENDPOINTS = frozenset({
     "/stats", "/metrics", "/health", "/graphs", "/query/resistance",
     "/query/similarity", "/query/solve", "/query/embedding", "/events",
@@ -126,20 +129,29 @@ class _Handler(BaseHTTPRequestHandler):
         )
 
     def _send_bytes(self, status: int, body: bytes, content_type: str) -> None:
+        if status >= 400:
+            get_metrics().counter(
+                "repro_http_errors_total",
+                "HTTP responses with status >= 400, by endpoint and "
+                "status (unknown paths pool under 'other').",
+                labelnames=("endpoint", "status"),
+            ).inc(endpoint=self._endpoint(), status=str(status))
         self.send_response(status)
         self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(body)))
         self.end_headers()
         self.wfile.write(body)
 
+    def _endpoint(self) -> str:
+        return self.path if self.path in _ENDPOINTS else "other"
+
     def _observe_request(self, span) -> None:
-        endpoint = self.path if self.path in _ENDPOINTS else "other"
         get_metrics().histogram(
             "repro_http_request_seconds",
             "Wall-clock seconds per HTTP request, by endpoint "
             "(unknown paths pool under 'other').",
             labelnames=("endpoint",),
-        ).observe(span.elapsed, endpoint=endpoint)
+        ).observe(span.elapsed, endpoint=self._endpoint())
 
     def do_GET(self) -> None:
         with get_tracer().span(

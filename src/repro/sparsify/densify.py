@@ -95,9 +95,6 @@ def densify(
     initial_mask: np.ndarray | None = None,
     max_update_rank: int = 64,
     amg_rebuild_every: int = 8,
-    kernel_backend: str = "reference",
-    estimator_backend: str = "reference",
-    estimator_refresh: int = 3,
 ) -> DensifyResult:
     """Run the Section-3.7 densification loop until σ² is reached.
 
@@ -141,19 +138,6 @@ def densify(
     amg_rebuild_every:
         Update batches an AMG hierarchy absorbs in place before it is
         re-coarsened (see :class:`~repro.solvers.amg.AMGSolver`).
-    kernel_backend:
-        Hot-kernel implementation family (``"reference"``,
-        ``"vectorized"``, ``"numba"``, ``"auto"``); every backend is
-        bit-identical, so this changes speed only (see
-        :mod:`repro.kernels.registry`).
-    estimator_backend:
-        σ² estimation strategy (``"reference"``, ``"perturbation"``,
-        ``"auto"``); the perturbation backend trades bit-parity for a
-        quality-bounded solve-skipping estimate (see
-        :mod:`repro.kernels.estimator`).
-    estimator_refresh:
-        Maximum consecutive rounds the perturbation estimator may reuse
-        one probe embedding before a fresh embedding is forced.
 
     Returns
     -------
@@ -178,9 +162,6 @@ def densify(
         solver_method=solver_method,
         max_update_rank=max_update_rank,
         amg_rebuild_every=amg_rebuild_every,
-        kernel_backend=kernel_backend,
-        estimator_backend=estimator_backend,
-        estimator_refresh=estimator_refresh,
         initial_mask=initial_mask,
         tree_indices=np.asarray(tree_indices, dtype=np.int64),
     )

@@ -114,9 +114,8 @@ def probe_heats(
 
     The solve-free half of :func:`joule_heats`: given already-propagated
     probe vectors ``H``, charge each off-tree edge its Eq. 6/12 heat.
-    The densification engine uses this to re-score the (shrinking)
-    off-tree set on rounds that *reuse* a cached probe block, spending
-    zero Laplacian solves.
+    The endpoint rows are gathered with ``np.take`` and subtracted in
+    place, which gives the same bits as ``H[u] - H[v]``.
 
     Parameters
     ----------
@@ -134,10 +133,11 @@ def probe_heats(
         ``off_tree_indices``.
     """
     off_tree_indices = np.asarray(off_tree_indices, dtype=np.int64)
-    u = graph.u[off_tree_indices]
-    v = graph.v[off_tree_indices]
-    w = graph.w[off_tree_indices]
-    diffs = H[u] - H[v]
+    u = np.take(graph.u, off_tree_indices)
+    v = np.take(graph.v, off_tree_indices)
+    w = np.take(graph.w, off_tree_indices)
+    diffs = np.take(H, u, axis=0)
+    diffs -= np.take(H, v, axis=0)
     return w * np.einsum("ij,ij->i", diffs, diffs)
 
 

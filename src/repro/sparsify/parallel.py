@@ -449,11 +449,8 @@ class ShardedSparsifier:
         matches the unsharded serial pipeline bit-for-bit.
     **kernel_options:
         Remaining :class:`SimilarityAwareSparsifier` parameters
-        (``tree_method``, ``t``, ``max_iterations``,
-        ``kernel_backend``, ...), forwarded to every shard unchanged —
-        ``kernel_backend="vectorized"`` therefore accelerates every
-        worker, and process workers re-resolve backend availability in
-        their own interpreter.
+        (``tree_method``, ``t``, ``max_iterations``, ...), forwarded to
+        every shard unchanged.
 
     Examples
     --------

@@ -161,27 +161,6 @@ class SimilarityAwareSparsifier:
         AMG hierarchy absorbs in place (fine-level value patches, coarse
         grids kept) before it is re-coarsened from the current
         sparsifier Laplacian.
-    kernel_backend:
-        Hot-kernel implementation family: ``"reference"`` (default),
-        ``"vectorized"``, ``"numba"`` (degrades to vectorized when
-        numba is absent) or ``"auto"`` (fastest available).  All
-        backends are bit-identical (``tests/kernels`` parity suite),
-        so this knob changes speed only.
-    estimator_backend:
-        σ² estimation strategy: ``"reference"`` (default, one
-        generalized power iteration per densification round),
-        ``"perturbation"`` (GRASS-style first-order Rayleigh bounds
-        over cached probe/anchor vectors; spends solves only on
-        rounds that could certify and reuses the probe embedding
-        across rounds) or ``"auto"`` (= perturbation).  Unlike
-        ``kernel_backend`` this is an *algorithmic* substitute
-        contracted by σ² quality, not bit-parity: it certifies the
-        same target, with the certified value inside the band declared
-        by :data:`repro.kernels.estimator.SIGMA2_QUALITY_FACTOR`.
-    estimator_refresh:
-        Maximum consecutive rounds the perturbation estimator may
-        reuse one probe embedding before forcing a fresh solve-backed
-        embedding (ignored by the reference estimator).
     rescale:
         Optional terminal re-scaling stage: ``None`` (default, keep
         original weights as the paper does), ``"similarity"`` (global
@@ -215,9 +194,6 @@ class SimilarityAwareSparsifier:
         solver_method: str = "auto",
         max_update_rank: int = 64,
         amg_rebuild_every: int = 8,
-        kernel_backend: str = "reference",
-        estimator_backend: str = "reference",
-        estimator_refresh: int = 3,
         rescale: str | None = None,
         seed: int | np.random.Generator | None = None,
     ) -> None:
@@ -228,13 +204,6 @@ class SimilarityAwareSparsifier:
                 f"unknown rescale scheme {rescale!r}; expected None, "
                 "'similarity' or 'off_tree'"
             )
-        from repro.kernels.registry import (
-            resolve_backend,
-            resolve_estimator_backend,
-        )
-
-        resolve_backend(kernel_backend)  # validate eagerly; keep the request
-        resolve_estimator_backend(estimator_backend)
         self.sigma2 = float(sigma2)
         self.tree_method = tree_method
         self.t = t
@@ -246,9 +215,6 @@ class SimilarityAwareSparsifier:
         self.solver_method = solver_method
         self.max_update_rank = max_update_rank
         self.amg_rebuild_every = amg_rebuild_every
-        self.kernel_backend = kernel_backend
-        self.estimator_backend = estimator_backend
-        self.estimator_refresh = estimator_refresh
         self.rescale = rescale
         self.seed = seed
 
@@ -299,9 +265,6 @@ class SimilarityAwareSparsifier:
             solver_method=self.solver_method,
             max_update_rank=self.max_update_rank,
             amg_rebuild_every=self.amg_rebuild_every,
-            kernel_backend=self.kernel_backend,
-            estimator_backend=self.estimator_backend,
-            estimator_refresh=self.estimator_refresh,
         )
 
     def sparsify(self, graph: Graph, check_connected: bool = True) -> SparsifyResult:
@@ -457,12 +420,10 @@ def sparsify_graph(
         along Fiedler sign cuts.
     backend:
         Shard *execution* backend (``"auto"``, ``"serial"``,
-        ``"thread"``, ``"process"``); ignored on unsharded runs.  Not
-        to be confused with ``kernel_backend``, which selects the
-        hot-kernel implementations and is accepted via ``options``.
+        ``"thread"``, ``"process"``); ignored on unsharded runs.
     options:
         Remaining :class:`SimilarityAwareSparsifier` parameters
-        (including ``kernel_backend=``, which flows to every shard).
+        (forwarded to every shard on sharded runs).
 
     Returns
     -------

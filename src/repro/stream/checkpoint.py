@@ -115,9 +115,6 @@ def save_dynamic(path: str | Path, dyn: DynamicSparsifier) -> tuple[Path, Path]:
             "max_update_rank": dyn.max_update_rank,
             "amg_rebuild_every": dyn.amg_rebuild_every,
             "power_iterations": dyn.power_iterations,
-            "kernel_backend": dyn.kernel_backend,
-            "estimator_backend": dyn.estimator_backend,
-            "estimator_refresh": dyn.estimator_refresh,
             "densify_options": dyn._densify_options,
         },
         "counters": {
@@ -152,7 +149,9 @@ def load_dynamic(path: str | Path) -> DynamicSparsifier:
     Raises
     ------
     ValueError
-        If the checkpoint kind or format version is unknown.
+        If the checkpoint kind or format version is unknown, or it was
+        written by a run that used the removed ``perturbation`` σ²
+        estimator.
     """
     npz_path, json_path = checkpoint_paths(path)
     with open(json_path, "r", encoding="utf-8") as handle:
@@ -169,6 +168,18 @@ def load_dynamic(path: str | Path) -> DynamicSparsifier:
         tree_indices = data["tree_indices"].astype(np.int64)
         deg_p = data["deg_p"].astype(np.float64)
     config = meta["config"]
+    # Older checkpoints also carry the removed kernel_backend,
+    # estimator_backend and estimator_refresh keys.  Every kernel
+    # backend was bit-identical, so they are ignored, except a run on
+    # the perturbation estimator: resuming it under the solve-backed
+    # estimator would silently change its results.
+    estimator = config.get("estimator_backend", "reference")
+    if estimator != "reference":
+        raise ValueError(
+            f"{json_path} was written with estimator_backend="
+            f"{estimator!r}, which no longer exists; only runs on the "
+            "solve-backed estimator can be resumed"
+        )
     dyn = DynamicSparsifier(
         graph,
         sigma2=config["sigma2"],
@@ -181,12 +192,6 @@ def load_dynamic(path: str | Path) -> DynamicSparsifier:
         max_update_rank=config["max_update_rank"],
         amg_rebuild_every=config["amg_rebuild_every"],
         power_iterations=config["power_iterations"],
-        kernel_backend=config.get("kernel_backend", "reference"),
-        # Checkpoints written before the estimator kernel existed carry
-        # no estimator slot; they ran the solve-backed path, so default
-        # to it for an exact-behaviour restore.
-        estimator_backend=config.get("estimator_backend", "reference"),
-        estimator_refresh=config.get("estimator_refresh", 3),
         densify_options=config["densify_options"],
         _defer_init=True,
     )

@@ -269,24 +269,6 @@ class DynamicSparsifier:
         Update batches an AMG hierarchy absorbs before re-coarsening.
     power_iterations:
         Generalized power iterations per drift check.
-    kernel_backend:
-        Hot-kernel implementation family for the initial build and
-        every drift repair (``"reference"``, ``"vectorized"``,
-        ``"numba"``, ``"auto"``); bit-identical across backends, so
-        replay and checkpoint parity are backend-independent.  The
-        *requested* name is checkpointed and re-resolved on restore,
-        so a checkpoint written on a numba machine loads anywhere.
-    estimator_backend:
-        σ² estimation strategy for builds and drift repairs
-        (``"reference"``, ``"perturbation"``, ``"auto"``).  Unlike
-        ``kernel_backend`` the perturbation backend is a
-        quality-contracted algorithmic substitute, not bit-identical
-        (see :mod:`repro.kernels.estimator`); the requested name is
-        checkpointed and legacy checkpoints default to
-        ``"reference"``.
-    estimator_refresh:
-        Maximum consecutive rounds the perturbation estimator reuses
-        one probe embedding before forcing a fresh one.
     seed:
         Randomness for the initial sparsification and all repairs.
     densify_options:
@@ -320,9 +302,6 @@ class DynamicSparsifier:
         max_update_rank: int = 64,
         amg_rebuild_every: int = 8,
         power_iterations: int = 10,
-        kernel_backend: str = "reference",
-        estimator_backend: str = "reference",
-        estimator_refresh: int = 3,
         seed: int | np.random.Generator | None = None,
         densify_options: dict | None = None,
         _defer_init: bool = False,
@@ -337,13 +316,6 @@ class DynamicSparsifier:
             raise ValueError(f"check_every must be >= 1, got {check_every}")
         if solver_method not in _SOLVER_METHODS:
             raise ValueError(f"unknown solver method {solver_method!r}")
-        from repro.kernels.registry import (
-            resolve_backend,
-            resolve_estimator_backend,
-        )
-
-        resolve_backend(kernel_backend)  # validate; keep the request
-        resolve_estimator_backend(estimator_backend)
         self.sigma2 = float(sigma2)
         self.tree_method = tree_method
         self.drift_tolerance = float(drift_tolerance)
@@ -354,9 +326,6 @@ class DynamicSparsifier:
         self.max_update_rank = int(max_update_rank)
         self.amg_rebuild_every = int(amg_rebuild_every)
         self.power_iterations = int(power_iterations)
-        self.kernel_backend = kernel_backend
-        self.estimator_backend = estimator_backend
-        self.estimator_refresh = int(estimator_refresh)
         self._densify_options = dict(densify_options or {})
         unknown = set(self._densify_options) - set(_DENSIFY_OPTION_KEYS)
         if unknown:
@@ -385,7 +354,9 @@ class DynamicSparsifier:
             return
         if graph.n < 2:
             raise ValueError("graph must have at least 2 vertices")
-        if not is_connected(graph):
+        # Fewer than n - 1 edges cannot connect n vertices; answering
+        # before is_connected keeps a huge declared n from costing O(n).
+        if graph.num_edges < graph.n - 1 or not is_connected(graph):
             raise ValueError(
                 "initial graph must be connected (shard disconnected inputs "
                 "with repro.sparsify.parallel before streaming)"
@@ -458,9 +429,6 @@ class DynamicSparsifier:
             max_update_rank=self.max_update_rank,
             amg_rebuild_every=self.amg_rebuild_every,
             power_iterations=self.power_iterations,
-            kernel_backend=self.kernel_backend,
-            estimator_backend=self.estimator_backend,
-            estimator_refresh=self.estimator_refresh,
             tree_indices=(
                 self.tree_indices if state is not None else None
             ),

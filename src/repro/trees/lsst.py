@@ -33,23 +33,17 @@ __all__ = [
 ]
 
 
-def claim_labels(
-    dist: np.ndarray, pred: np.ndarray, virtual: int
-) -> np.ndarray:
-    """Assign every cluster to its claiming center (reference loop).
+def claim_labels(pred: np.ndarray, virtual: int) -> np.ndarray:
+    """Assign every cluster to its claiming center.
 
-    Clusters are walked in increasing shifted distance, which
-    guarantees predecessors are labelled before their successors —
-    every cluster therefore inherits the label of the root of its
-    Dijkstra predecessor chain.  This is the sequential reference
-    implementation; the kernel backends substitute order-free
-    equivalents (pointer doubling, JIT chain chasing) through the
-    ``label_resolver`` hooks below.
+    Every cluster inherits the label of the root of its Dijkstra
+    predecessor chain.  The chains are chased by pointer doubling (an
+    integer fixpoint, exact by construction), which gives the same
+    labels as walking the clusters in increasing shifted distance and
+    copying each predecessor's label, without the ordering.
 
     Parameters
     ----------
-    dist:
-        Shifted shortest-path distances from the virtual source.
     pred:
         Dijkstra predecessors; the virtual source and negative entries
         terminate chains.
@@ -61,11 +55,14 @@ def claim_labels(
     numpy.ndarray
         ``int64`` cluster labels (the claiming center per cluster).
     """
-    labels = -np.ones(pred.size, dtype=np.int64)
-    for v in np.argsort(dist, kind="stable"):
-        p = pred[v]
-        labels[v] = v if p == virtual or p < 0 else labels[p]
-    return labels
+    parent = np.arange(pred.size, dtype=np.int64)
+    follow = (pred >= 0) & (pred != virtual)
+    parent[follow] = pred[follow]
+    while True:
+        grand = parent[parent]
+        if np.array_equal(grand, parent):
+            return grand
+        parent = grand
 
 
 def _dedupe_cluster_edges(
@@ -94,7 +91,6 @@ def _shifted_shortest_path_round(
     active: np.ndarray,
     scale: float,
     rng: np.random.Generator,
-    label_resolver=None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """One MPX decomposition round over the active cluster edges.
 
@@ -114,12 +110,12 @@ def _shifted_shortest_path_round(
     cols = np.concatenate([av, au, np.arange(k, dtype=np.int64)])
     vals = np.concatenate([alen, alen, delays])
     matrix = sp.csr_matrix((vals, (rows, cols)), shape=(k + 1, k + 1))
-    dist, pred = csgraph.dijkstra(
+    _, pred = csgraph.dijkstra(
         matrix, directed=False, indices=virtual, return_predecessors=True
     )
-    dist, pred = dist[:k], pred[:k]
+    pred = pred[:k]
 
-    labels = (label_resolver or claim_labels)(dist, pred, virtual)
+    labels = claim_labels(pred, virtual)
 
     # Forest edges: (pred[v], v) for non-center claimed clusters.
     claimed = np.flatnonzero((pred != virtual) & (pred >= 0))
@@ -144,13 +140,13 @@ def _shifted_shortest_path_round(
 def boruvka_union_core(
     k: int, cu: np.ndarray, cv: np.ndarray, chosen: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Union the chosen Borůvka edges; numba ``nopython``-compatible.
+    """Union the chosen Borůvka edges over flat arrays.
 
     Replicates :class:`repro.trees.spanning.DisjointSet` (union by
     rank, path halving) operation-for-operation: representative ids
     flow into ``np.unique`` label compression and thereby into the
-    tree's edge identity, so any substitute core must produce the same
-    roots, not merely the same partition.
+    tree's edge identity, so the same roots matter, not merely the
+    same partition.
 
     Parameters
     ----------
@@ -207,15 +203,12 @@ def _boruvka_round(
     cv: np.ndarray,
     lengths: np.ndarray,
     orig: np.ndarray,
-    boruvka_core=None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Borůvka fallback: every cluster grabs its shortest incident edge.
 
     Guarantees the cluster count at least halves, which makes the AKPW
     loop terminate even when a randomized round stalls.  The sequential
-    union loop lives in :func:`boruvka_union_core`; ``boruvka_core``
-    is the kernel-backend hook substituting a JIT-compiled equivalent
-    (value-identical — the parity suite checks).
+    union loop lives in :func:`boruvka_union_core`.
     """
     best = np.full(k, -1, dtype=np.int64)
     best_len = np.full(k, np.inf)
@@ -229,7 +222,7 @@ def _boruvka_round(
         best[uniq[better]] = order[first_pos[better]]
         best_len[uniq[better]] = cand_len[better]
     chosen = np.unique(best[best >= 0])
-    labels, added = (boruvka_core or boruvka_union_core)(
+    labels, added = boruvka_union_core(
         k,
         np.ascontiguousarray(cu, dtype=np.int64),
         np.ascontiguousarray(cv, dtype=np.int64),
@@ -242,8 +235,6 @@ def akpw(
     graph: Graph,
     seed: int | np.random.Generator | None = None,
     scale_factor: float = 4.0,
-    label_resolver=None,
-    boruvka_core=None,
 ) -> np.ndarray:
     """AKPW-style low-stretch spanning tree; returns canonical edge indices.
 
@@ -257,14 +248,6 @@ def akpw(
         Geometric growth of the length scale between rounds (the paper's
         LSST references use a large theoretical base; 4 works well in
         practice and keeps the number of rounds logarithmic).
-    label_resolver:
-        Optional ``(dist, pred, virtual) -> labels`` replacement for
-        :func:`claim_labels` — the kernel-backend hook; any substitute
-        must be value-identical (the parity suite checks).
-    boruvka_core:
-        Optional ``(k, cu, cv, chosen) -> (labels, added)`` replacement
-        for :func:`boruvka_union_core` — same contract: bit-identical
-        representative labels and forest-edge mask.
     """
     if not is_connected(graph):
         raise ValueError("graph must be connected to have a spanning tree")
@@ -292,13 +275,10 @@ def akpw(
             scale = float(lengths.min()) * scale_factor
             active = lengths <= scale
         labels, added = _shifted_shortest_path_round(
-            k, cu, cv, lengths, orig, active, scale, rng,
-            label_resolver=label_resolver,
+            k, cu, cv, lengths, orig, active, scale, rng
         )
         if added.size == 0:
-            labels, added = _boruvka_round(
-                k, cu, cv, lengths, orig, boruvka_core=boruvka_core
-            )
+            labels, added = _boruvka_round(k, cu, cv, lengths, orig)
         tree_edges.append(added)
         # Compress labels and contract.
         uniq, new_labels = np.unique(labels, return_inverse=True)
@@ -356,26 +336,16 @@ def low_stretch_tree(
     method: str = "akpw",
     seed: int | np.random.Generator | None = None,
     root: int | None = None,
-    label_resolver=None,
-    boruvka_core=None,
 ) -> np.ndarray:
     """Spanning-tree backbone dispatcher.
 
     ``method`` is one of ``"akpw"`` (default, low-stretch),
     ``"spt"`` (Dijkstra shortest-path tree), ``"maxw"`` (maximum-weight
     tree) or ``"random"`` (uniformly weighted Kruskal order — the
-    worst-case baseline for ablations).  ``label_resolver`` and
-    ``boruvka_core`` are the kernel-backend hooks forwarded to
-    :func:`akpw` (ignored by the other methods, which have no
-    sequential loops).
+    worst-case baseline for ablations).
     """
     if method == "akpw":
-        return akpw(
-            graph,
-            seed=seed,
-            label_resolver=label_resolver,
-            boruvka_core=boruvka_core,
-        )
+        return akpw(graph, seed=seed)
     if method == "spt":
         return shortest_path_tree(graph, root=root, seed=seed)
     if method == "maxw":

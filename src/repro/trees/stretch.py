@@ -68,7 +68,7 @@ def edge_stretches(
       ``O((n + m) log n)`` and fully vectorized;
     - ``"tarjan"``: Tarjan's offline union-find traversal,
       ``O((n + m) α(n))`` with no ancestor table — the lean choice for
-      very deep trees, JIT-compiled when numba is available.
+      very deep trees.
     """
     tree = RootedTree.from_graph(graph, tree_edge_indices, root=root)
     resistance = tree.resistance_to_root()

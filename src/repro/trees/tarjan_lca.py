@@ -9,10 +9,7 @@ test suite, as the memory-lean option for very deep trees, and as the
 ``method="tarjan"`` engine of :func:`repro.trees.edge_stretches`.
 
 The traversal lives in :func:`tarjan_lca_core`, a flat-array loop nest
-written in the numba ``nopython`` subset: when numba is importable the
-core is JIT-compiled at import time, otherwise the same function runs
-as plain Python — identical results either way, so the kernel parity
-suite covers both legs with one test body.  The union-find inside
+over ``int64`` arrays with an explicit DFS stack.  The union-find inside
 replicates :class:`repro.trees.spanning.DisjointSet` (union by rank,
 path halving) operation-for-operation.
 """
@@ -28,7 +25,7 @@ __all__ = ["tarjan_lca_core", "tarjan_offline_lca"]
 
 def tarjan_lca_core(parent: np.ndarray, root: int, qu: np.ndarray,
                     qv: np.ndarray) -> np.ndarray:
-    """Flat-array Tarjan offline LCA (numba ``nopython``-compatible).
+    """Flat-array Tarjan offline LCA.
 
     Parameters
     ----------
@@ -138,14 +135,6 @@ def tarjan_lca_core(parent: np.ndarray, root: int, qu: np.ndarray,
     return answers
 
 
-try:  # pragma: no cover - exercised only where numba is installed
-    import numba
-
-    tarjan_lca_core = numba.njit(cache=True)(tarjan_lca_core)
-except ImportError:  # pragma: no cover - the common container state
-    pass
-
-
 def tarjan_offline_lca(
     tree: RootedTree, u: np.ndarray, v: np.ndarray
 ) -> np.ndarray:
@@ -166,8 +155,7 @@ def tarjan_offline_lca(
     -----
     Thin validation wrapper over :func:`tarjan_lca_core` — an iterative
     (explicit DFS stack) flat-array traversal, so deep trees do not hit
-    Python's recursion limit and the loop nest JIT-compiles when numba
-    is available.  Queries are bucketed per endpoint; when the DFS
+    Python's recursion limit.  Queries are bucketed per endpoint; when the DFS
     finishes a vertex, all its pending queries whose other endpoint is
     already visited resolve to ``ancestor(find(other))``.
     """

@@ -61,35 +61,6 @@ def test_contracts_clean_fixture_passes():
     assert not {"R201", "R202", "R203", "R204"} & set(rules)
 
 
-def test_kernels_bad_fixture_fires():
-    rules, result = _rules(FIXTURES / "kernels_bad.py")
-    assert rules.count("R205") == 2
-    r205 = [f for f in result.findings if f.rule == "R205"]
-    by_symbol = {f.symbol: f for f in r205}
-    assert "unknown kernel" in by_symbol["MistypedStage"].message
-    assert "lssst" in by_symbol["MistypedStage"].message
-    assert "non-literal" in by_symbol["DynamicStage"].message
-    for finding in r205:
-        assert finding.line > 0
-
-
-def test_kernels_clean_fixture_passes():
-    rules, _ = _rules(FIXTURES / "kernels_clean.py")
-    assert not {"R201", "R202", "R203", "R204", "R205"} & set(rules)
-
-
-def test_kernel_dispatch_effects_mirror_registry():
-    """The lint table must stay bit-for-bit equal to the live registry."""
-    from repro.analysis.framework import KERNEL_DISPATCH_EFFECTS
-    from repro.kernels import KERNELS
-
-    assert set(KERNEL_DISPATCH_EFFECTS) == set(KERNELS)
-    for name, kernel in KERNELS.items():
-        reads, writes = KERNEL_DISPATCH_EFFECTS[name]
-        assert reads == kernel.reads, name
-        assert writes == kernel.writes, name
-
-
 def test_locks_bad_fixture_fires():
     rules, result = _rules(FIXTURES / "locks_bad.py")
     assert rules.count("R301") == 3  # dict store, counter bump, .clear()

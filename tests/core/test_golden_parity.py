@@ -166,52 +166,38 @@ GRAPHS = {
     "circuit": lambda: generators.circuit_grid(14, 14, seed=2),
 }
 
-#: Every selectable kernel backend must reproduce the frozen legacy
-#: loop bit-exactly ("numba"/"auto" resolve to "vectorized" where numba
-#: is absent — the golden contract covers the resolution too).
-BACKENDS = ("reference", "vectorized", "numba", "auto")
-
 
 class TestBatchParity:
-    @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("name", sorted(GRAPHS))
     @pytest.mark.parametrize("seed", [0, 7])
-    def test_mask_and_tree_bit_identical(self, name, seed, backend):
+    def test_mask_and_tree_bit_identical(self, name, seed):
         g = GRAPHS[name]()
         ref_mask, ref_tree, ref_conv = legacy_sparsify(g, sigma2=60.0, seed=seed)
-        result = sparsify_graph(
-            g, sigma2=60.0, seed=seed, kernel_backend=backend
-        )
+        result = sparsify_graph(g, sigma2=60.0, seed=seed)
         assert np.array_equal(result.edge_mask, ref_mask)
         assert np.array_equal(result.tree_indices, ref_tree)
         assert result.converged == ref_conv
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_rng_stream_identical_after_run(self, backend):
+    def test_rng_stream_identical_after_run(self):
         """The pipeline consumes the RNG in exactly the legacy order."""
         g = GRAPHS["grid"]()
         rng_legacy = as_rng(11)
         tree = low_stretch_tree(g, method="akpw", seed=rng_legacy)
         legacy_densify(g, tree, sigma2=60.0, seed=rng_legacy)
         rng_pipeline = as_rng(11)
-        SimilarityAwareSparsifier(
-            sigma2=60.0, seed=rng_pipeline, kernel_backend=backend
-        ).sparsify(g)
+        SimilarityAwareSparsifier(sigma2=60.0, seed=rng_pipeline).sparsify(g)
         assert (
             rng_legacy.bit_generator.state == rng_pipeline.bit_generator.state
         )
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_nondefault_knobs_parity(self, backend):
+    def test_nondefault_knobs_parity(self):
         g = GRAPHS["grid"]()
         knobs = dict(
             t=3, num_vectors=6, power_iterations=6, max_iterations=9,
             max_edges_per_iteration=37, similarity_mode="neighborhood",
         )
         ref_mask, ref_tree, _ = legacy_sparsify(g, sigma2=40.0, seed=5, **knobs)
-        result = sparsify_graph(
-            g, sigma2=40.0, seed=5, kernel_backend=backend, **knobs
-        )
+        result = sparsify_graph(g, sigma2=40.0, seed=5, **knobs)
         assert np.array_equal(result.edge_mask, ref_mask)
         assert np.array_equal(result.tree_indices, ref_tree)
 

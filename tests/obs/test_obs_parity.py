@@ -31,6 +31,17 @@ def _observed_pair():
     return Tracer(), MetricsRegistry()
 
 
+def _estimate_solves(metrics) -> float:
+    """σ²-estimate solves counted in ``repro_solver_solves_total``."""
+    return metrics.counter(
+        "repro_solver_solves_total",
+        "Laplacian solve() invocations, one per call (a k-column "
+        "multi-RHS block counts once - batching exists to shrink "
+        "this number).",
+        labelnames=("solver", "caller"),
+    ).value(solver="DirectSolver", caller="estimate")
+
+
 def _grid():
     return generators.grid2d(10, 10, weights="lognormal", seed=3)
 
@@ -59,12 +70,7 @@ class TestBatchParity:
             rng_off.bit_generator.state == rng_on.bit_generator.state
         )
         assert tracer.records(category="stage"), "stages must emit spans"
-        assert metrics.counter(
-            "repro_kernel_calls_total",
-            "Kernel dispatches through the registry, by kernel and "
-            "concrete backend.",
-            labelnames=("kernel", "backend"),
-        ).value(kernel="lsst", backend="reference") >= 1.0
+        assert _estimate_solves(metrics) >= 1.0
 
     def test_profile_is_a_view_over_the_trace(self):
         tracer, metrics = _observed_pair()
@@ -111,12 +117,7 @@ class TestShardParity:
             "shards.plan", "shards.run", "shards.stitch",
         }
         # Worker metrics merged back into the parent registry.
-        assert metrics.counter(
-            "repro_kernel_calls_total",
-            "Kernel dispatches through the registry, by kernel and "
-            "concrete backend.",
-            labelnames=("kernel", "backend"),
-        ).value(kernel="lsst", backend="reference") >= 2.0
+        assert _estimate_solves(metrics) >= 2.0
 
 
 class TestStreamParity:

@@ -3,37 +3,32 @@
 The paper's §3.7 adds off-tree edges in "small portions";
 ``max_edges_per_iteration`` (surfaced to stages as ``ctx.edge_cap()``)
 is that portion size.  These tests fuzz the cap over random connected
-graphs and every kernel backend: the additions per iteration never
-exceed the cap, degenerate caps (0, 1) stay graceful, and negative
-caps are rejected eagerly.
+graphs: the additions per iteration never exceed the cap, degenerate
+caps (0, 1) stay graceful, and negative caps are rejected eagerly.
 """
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.kernels import available_backends
 from repro.sparsify import densify, sparsify_graph
 from repro.trees.lsst import low_stretch_tree
 
 from tests.property.test_property_trees import connected_graphs
 
-BACKENDS = sorted(available_backends())
-
 
 class TestEdgeCapProperties:
-    @pytest.mark.parametrize("backend", BACKENDS)
     @given(
         graph=connected_graphs(),
         cap=st.integers(min_value=0, max_value=12),
         seed=st.integers(min_value=0, max_value=10**6),
     )
     @settings(max_examples=25, deadline=None)
-    def test_additions_never_exceed_cap(self, backend, graph, cap, seed):
+    def test_additions_never_exceed_cap(self, graph, cap, seed):
         tree = low_stretch_tree(graph, method="akpw", seed=seed)
         result = densify(
             graph, tree, sigma2=2.0, seed=seed, max_iterations=5,
-            max_edges_per_iteration=cap, kernel_backend=backend,
+            max_edges_per_iteration=cap,
         )
         for iteration in result.iterations:
             assert iteration.num_added <= cap
@@ -42,28 +37,24 @@ class TestEdgeCapProperties:
         # Every tree edge survives in the mask.
         assert bool(result.edge_mask[tree].all())
 
-    @pytest.mark.parametrize("backend", BACKENDS)
     @given(graph=connected_graphs(), seed=st.integers(0, 10**6))
     @settings(max_examples=15, deadline=None)
-    def test_cap_zero_freezes_the_backbone(self, backend, graph, seed):
+    def test_cap_zero_freezes_the_backbone(self, graph, seed):
         tree = low_stretch_tree(graph, method="akpw", seed=seed)
         result = densify(
             graph, tree, sigma2=2.0, seed=seed, max_iterations=5,
-            max_edges_per_iteration=0, kernel_backend=backend,
+            max_edges_per_iteration=0,
         )
         expected = np.zeros(graph.num_edges, dtype=bool)
         expected[tree] = True
         assert np.array_equal(result.edge_mask, expected)
 
-    @pytest.mark.parametrize("backend", BACKENDS)
     @given(graph=connected_graphs(), seed=st.integers(0, 10**6))
     @settings(max_examples=15, deadline=None)
-    def test_cap_one_adds_at_most_one_per_iteration(
-        self, backend, graph, seed
-    ):
+    def test_cap_one_adds_at_most_one_per_iteration(self, graph, seed):
         result = sparsify_graph(
             graph, sigma2=2.0, seed=seed, max_iterations=4,
-            max_edges_per_iteration=1, kernel_backend=backend,
+            max_edges_per_iteration=1,
         )
         for iteration in result.iterations:
             assert iteration.num_added <= 1
@@ -78,23 +69,3 @@ class TestEdgeCapProperties:
                 graph, tree, sigma2=2.0, seed=0,
                 max_edges_per_iteration=-1,
             )
-
-    @pytest.mark.parametrize("backend", BACKENDS)
-    @given(
-        graph=connected_graphs(),
-        cap=st.integers(min_value=0, max_value=6),
-        seed=st.integers(min_value=0, max_value=10**6),
-    )
-    @settings(max_examples=20, deadline=None)
-    def test_capped_runs_backend_invariant(self, backend, graph, cap, seed):
-        """The cap interacts with scoring windows; parity must survive."""
-        tree = low_stretch_tree(graph, method="akpw", seed=seed)
-        ref = densify(
-            graph, tree, sigma2=2.0, seed=seed, max_iterations=4,
-            max_edges_per_iteration=cap,
-        )
-        got = densify(
-            graph, tree, sigma2=2.0, seed=seed, max_iterations=4,
-            max_edges_per_iteration=cap, kernel_backend=backend,
-        )
-        assert np.array_equal(got.edge_mask, ref.edge_mask)

@@ -1,34 +1,37 @@
-"""Hypothesis property tests over the kernel backends.
+"""Hypothesis property tests over the paper routines the stages call.
 
-Beyond bit-parity with ``reference`` (``test_parity``), the kernels
-obey structural invariants on *any* input: trees span and stay
-connected, filtering respects its threshold and ordering contract and
-is monotone in the similarity target, scoring never exceeds its cap
-and is prefix-monotone in it.
+The routines behind the tree, filter and similarity stages obey
+structural invariants on *any* input: trees span and stay connected,
+filtering respects its threshold and ordering contract and is monotone
+in the similarity target, scoring never exceeds its cap and is
+prefix-monotone in it.
 """
 
 from __future__ import annotations
 
 import numpy as np
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.graphs import is_connected
-from repro.kernels import available_backends, kernel_impl
+from repro.sparsify.edge_similarity import select_dissimilar
+from repro.sparsify.filtering import filter_edges, heat_threshold
+from repro.trees.lsst import low_stretch_tree
 from repro.utils.rng import as_rng
 
 from tests.property.test_property_trees import connected_graphs
 
-BACKENDS = sorted(available_backends())
+
+def _filter(heats, sigma2, lam_max):
+    """θ_σ and the passing positions, as ``FilterStage`` derives them."""
+    threshold = heat_threshold(sigma2, 1.0, lam_max, t=2)
+    return threshold, filter_edges(heats, threshold).passing
 
 
 class TestTreeProperties:
-    @pytest.mark.parametrize("backend", BACKENDS)
     @given(graph=connected_graphs(), seed=st.integers(0, 10**6))
     @settings(max_examples=30, deadline=None)
-    def test_tree_spans_and_connects(self, backend, graph, seed):
-        impl = kernel_impl("lsst", backend)
-        idx = impl(graph, method="akpw", seed=as_rng(seed))
+    def test_tree_spans_and_connects(self, graph, seed):
+        idx = low_stretch_tree(graph, method="akpw", seed=as_rng(seed))
         assert idx.size == graph.n - 1
         assert np.unique(idx).size == idx.size
         assert is_connected(graph.edge_subgraph(idx))
@@ -47,20 +50,14 @@ def heat_vectors(draw, max_m=80):
 
 
 class TestFilteringProperties:
-    @pytest.mark.parametrize("backend", BACKENDS)
     @given(
         heats=heat_vectors(),
         sigma2=st.floats(min_value=1.5, max_value=1e4),
         lam_max=st.floats(min_value=1.0, max_value=1e3),
     )
     @settings(max_examples=60, deadline=None)
-    def test_threshold_and_ordering_contract(
-        self, backend, heats, sigma2, lam_max
-    ):
-        impl = kernel_impl("filtering", backend)
-        threshold, passing = impl(
-            heats, sigma2=sigma2, lambda_min=1.0, lambda_max=lam_max, t=2
-        )
+    def test_threshold_and_ordering_contract(self, heats, sigma2, lam_max):
+        threshold, passing = _filter(heats, sigma2, lam_max)
         assert 0.0 <= threshold <= 1.0
         assert passing.dtype == np.int64
         assert np.unique(passing).size == passing.size
@@ -74,23 +71,17 @@ class TestFilteringProperties:
             # Nothing above the threshold was dropped.
             assert np.count_nonzero(norm >= threshold) == passing.size
 
-    @pytest.mark.parametrize("backend", BACKENDS)
     @given(
         heats=heat_vectors(),
         lam_max=st.floats(min_value=1.0, max_value=1e3),
     )
     @settings(max_examples=40, deadline=None)
-    def test_monotone_in_similarity_target(self, backend, heats, lam_max):
+    def test_monotone_in_similarity_target(self, heats, lam_max):
         """θ_σ grows with σ² (Eq. 15), so a looser similarity target can
         only admit *fewer* edges — the filter doubles as the stopping
         rule once θ_σ reaches 1."""
-        impl = kernel_impl("filtering", backend)
-        _, demanding = impl(
-            heats, sigma2=4.0, lambda_min=1.0, lambda_max=lam_max, t=2
-        )
-        _, relaxed = impl(
-            heats, sigma2=400.0, lambda_min=1.0, lambda_max=lam_max, t=2
-        )
+        _, demanding = _filter(heats, 4.0, lam_max)
+        _, relaxed = _filter(heats, 400.0, lam_max)
         assert set(relaxed.tolist()) <= set(demanding.tolist())
 
 
@@ -106,47 +97,39 @@ def graphs_with_candidates(draw):
 
 
 class TestScoringProperties:
-    @pytest.mark.parametrize("backend", BACKENDS)
     @given(data=graphs_with_candidates(), cap=st.integers(0, 50))
     @settings(max_examples=50, deadline=None)
-    def test_cap_respected_and_subset(self, backend, data, cap):
+    def test_cap_respected_and_subset(self, data, cap):
         graph, candidates = data
-        impl = kernel_impl("scoring", backend)
-        added = impl(graph, candidates, max_edges=cap, mode="endpoint")
+        added = select_dissimilar(graph, candidates, max_edges=cap)
         assert added.size <= cap
         assert set(added.tolist()) <= set(candidates.tolist())
         assert np.unique(added).size == added.size
 
-    @pytest.mark.parametrize("backend", BACKENDS)
     @given(data=graphs_with_candidates(), cap=st.integers(0, 30))
     @settings(max_examples=50, deadline=None)
-    def test_prefix_monotone_in_cap(self, backend, data, cap):
+    def test_prefix_monotone_in_cap(self, data, cap):
         """cap=k selects exactly the first k of the uncapped selection."""
         graph, candidates = data
-        impl = kernel_impl("scoring", backend)
-        capped = impl(graph, candidates, max_edges=cap, mode="endpoint")
-        uncapped = impl(graph, candidates, max_edges=None, mode="endpoint")
+        capped = select_dissimilar(graph, candidates, max_edges=cap)
+        uncapped = select_dissimilar(graph, candidates, max_edges=None)
         assert np.array_equal(capped, uncapped[: min(cap, uncapped.size)])
 
-    @pytest.mark.parametrize("backend", BACKENDS)
     @given(data=graphs_with_candidates())
     @settings(max_examples=30, deadline=None)
-    def test_degenerate_caps_graceful(self, backend, data):
+    def test_degenerate_caps_graceful(self, data):
         graph, candidates = data
-        impl = kernel_impl("scoring", backend)
-        assert impl(graph, candidates, max_edges=0, mode="endpoint").size == 0
-        one = impl(graph, candidates, max_edges=1, mode="endpoint")
+        assert select_dissimilar(graph, candidates, max_edges=0).size == 0
+        one = select_dissimilar(graph, candidates, max_edges=1)
         assert one.size <= 1
 
-    @pytest.mark.parametrize("backend", BACKENDS)
     @given(data=graphs_with_candidates())
     @settings(max_examples=30, deadline=None)
-    def test_endpoint_rule_holds(self, backend, data):
+    def test_endpoint_rule_holds(self, data):
         """Selected edges never share an endpoint with an *earlier*
         selected edge on both sides (the dissimilarity invariant)."""
         graph, candidates = data
-        impl = kernel_impl("scoring", backend)
-        added = impl(graph, candidates, max_edges=None, mode="endpoint")
+        added = select_dissimilar(graph, candidates, max_edges=None)
         marked: set = set()
         for e in added:
             p, q = int(graph.u[e]), int(graph.v[e])

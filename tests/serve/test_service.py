@@ -1,12 +1,15 @@
 """End-to-end tests for the HTTP query service and its client."""
 
+import json
 import socket
+import time
 from urllib.parse import urlparse
 
 import numpy as np
 import pytest
 
 from repro.graphs import generators
+from repro.obs import get_metrics
 from repro.serve import (
     ServeClient,
     ServiceError,
@@ -231,6 +234,23 @@ class TestErrors:
         if reason is not None:
             assert reason in str(excinfo.value)
 
+    def test_removed_kernel_backend_param_is_400(self, client, grid):
+        with pytest.raises(ServiceError) as excinfo:
+            client.register(grid, sigma2=SIGMA2, kernel_backend="auto")
+        assert excinfo.value.status == 400
+
+    def test_huge_n_is_400_before_any_o_n_work(self, service):
+        """One edge over 2**40 vertices cannot be connected; the answer
+        must not wait for (or allocate) anything sized by ``n``."""
+        body = json.dumps(
+            {"n": 2**40, "u": [0], "v": [1], "w": [1.0]}
+        ).encode("ascii")
+        start = time.perf_counter()
+        status, reply = _raw_post(service, str(len(body)), body)
+        assert time.perf_counter() - start < 5.0
+        assert status == 400
+        assert b"must be connected" in reply
+
     def test_unexpected_exception_is_500(self, service, client, monkeypatch):
         def broken(path, payload):
             raise RuntimeError("boom")
@@ -240,6 +260,57 @@ class TestErrors:
             client._request("POST", "/query/resistance", {})
         assert excinfo.value.status == 500
         assert excinfo.value.body == {"error": "internal server error"}
+
+
+def _http_errors() -> dict:
+    """``{(endpoint, status): count}`` of ``repro_http_errors_total``."""
+    family = get_metrics().snapshot().get("repro_http_errors_total", {})
+    return {
+        tuple(json.loads(key)): value
+        for key, value in family.get("values", {}).items()
+    }
+
+
+def _unknown_path(service, client):
+    with pytest.raises(ServiceError) as excinfo:
+        client._request("POST", "/nowhere", {})
+    assert excinfo.value.status == 404
+
+
+def _malformed_json(service, client):
+    assert _raw_post(service, "9", b"{not json")[0] == 400
+
+
+def _oversized_body(service, client):
+    assert _raw_post(service, "1000000000000")[0] == 413
+
+
+class TestErrorCounter:
+    @pytest.mark.parametrize(
+        "send, label",
+        [
+            (_unknown_path, ("other", "404")),
+            (_malformed_json, ("/graphs", "400")),
+            (_oversized_body, ("/graphs", "413")),
+        ],
+        ids=["unknown-path-404", "malformed-json-400", "oversized-413"],
+    )
+    def test_error_bumps_exactly_its_label(self, service, client, send, label):
+        before = _http_errors()
+        send(service, client)
+        after = _http_errors()
+        bumped = {
+            key: after[key] - before.get(key, 0.0)
+            for key in after
+            if after[key] != before.get(key, 0.0)
+        }
+        assert bumped == {label: 1.0}
+
+    def test_success_bumps_nothing(self, client, grid):
+        before = _http_errors()
+        client.register(grid, sigma2=SIGMA2, seed=0)
+        client.stats()
+        assert _http_errors() == before
 
 
 def _raw_post(service, length: str, body: bytes = b"") -> tuple[int, bytes]:

@@ -5,6 +5,7 @@ import pytest
 
 from repro.graphs import generators
 from repro.sparsify import default_num_vectors, joule_heats, power_iterate
+from repro.sparsify.edge_embedding import probe_heats
 from repro.trees import RootedTree, TreeSolver, edge_stretches, low_stretch_tree
 
 
@@ -86,6 +87,14 @@ class TestJouleHeats:
         top_stretch = set(np.argsort(-stretches)[:k].tolist())
         overlap = len(top_heat & top_stretch) / k
         assert overlap > 0.5
+
+    def test_probe_heats_match_fancy_index_gather(self, tree_setup):
+        """The ``np.take`` gather gives the bits of ``H[u] - H[v]``."""
+        graph, _, solver, off = tree_setup
+        H = power_iterate(graph, solver, t=2, num_vectors=5, seed=2)
+        diffs = H[graph.u[off]] - H[graph.v[off]]
+        expected = graph.w[off] * np.einsum("ij,ij->i", diffs, diffs)
+        assert np.array_equal(probe_heats(graph, H, off), expected)
 
     def test_sum_equals_quadratic_form(self, tree_setup):
         """Eq. 6: Σ heats = h' (L_G − L_P) h for a single probe."""

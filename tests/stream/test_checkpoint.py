@@ -112,6 +112,40 @@ class TestDynamicRoundTrip:
             load_dynamic(tmp_path / "res")
 
 
+def _with_config(json_path, **keys) -> None:
+    """Rewrite a checkpoint's json with extra ``config`` keys."""
+    meta = json.loads(json_path.read_text())
+    meta["config"].update(keys)
+    json_path.write_text(json.dumps(meta))
+
+
+class TestRemovedBackendKeys:
+    """Checkpoints written while kernel/estimator backends existed."""
+
+    def test_legacy_keys_are_ignored(self, tmp_path, grid):
+        events = random_event_stream(grid, 80, seed=6, p_delete=0.4)
+        dyn = DynamicSparsifier(grid, sigma2=90.0, seed=2)
+        dyn.apply_log(events[:40], batch_size=10)
+        save_dynamic(tmp_path / "plain", dyn)
+        _, legacy_json = save_dynamic(tmp_path / "legacy", dyn)
+        _with_config(legacy_json, kernel_backend="vectorized",
+                     estimator_backend="reference", estimator_refresh=3)
+
+        plain = load_dynamic(tmp_path / "plain")
+        legacy = load_dynamic(tmp_path / "legacy")
+        plain.apply_log(events[40:], batch_size=10)
+        legacy.apply_log(events[40:], batch_size=10)
+        assert np.array_equal(legacy.edge_mask, plain.edge_mask)
+        assert legacy.last_estimate == plain.last_estimate
+
+    def test_perturbation_estimator_is_refused(self, tmp_path, grid):
+        dyn = DynamicSparsifier(grid, sigma2=90.0, seed=2)
+        _, json_path = save_dynamic(tmp_path / "ck", dyn)
+        _with_config(json_path, estimator_backend="perturbation")
+        with pytest.raises(ValueError, match="perturbation"):
+            load_dynamic(tmp_path / "ck")
+
+
 class TestResultRoundTrip:
     def test_result_restored(self, tmp_path, grid):
         result = sparsify_graph(grid, sigma2=90.0, seed=0)

@@ -162,6 +162,17 @@ class TestValidation:
         with pytest.raises(ValueError, match="disconnected"):
             dyn.apply([EdgeDelete(2, 3)])
 
+    def test_too_few_edges_rejected_before_connectivity_scan(self, monkeypatch):
+        """Fewer than n - 1 edges cannot connect n vertices: the answer
+        must come before the O(n) connectivity scan."""
+        def scan(graph):
+            raise AssertionError("is_connected ran on a huge sparse graph")
+
+        monkeypatch.setattr("repro.stream.dynamic.is_connected", scan)
+        g = Graph(10**7, np.array([0]), np.array([1]), np.array([1.0]))
+        with pytest.raises(ValueError, match="must be connected"):
+            DynamicSparsifier(g, sigma2=100.0, seed=0)
+
 
 class TestTier2BackboneRepair:
     def test_tree_deletion_repaired(self, grid, dyn):

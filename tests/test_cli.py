@@ -260,6 +260,16 @@ class TestExitCodes:
         log = tmp_path / "missing.jsonl"
         assert main(["stream", str(log)]) == 2  # neither --graph nor --resume
 
+    @pytest.mark.parametrize("flag", ["--kernel-backend", "--estimator-backend"])
+    def test_removed_backend_flags_are_usage_errors(self, graph_file, tmp_path,
+                                                    flag, capsys):
+        path, _ = graph_file
+        out = str(tmp_path / "o.mtx")
+        with pytest.raises(SystemExit) as excinfo:
+            main(["sparsify", str(path), "-o", out, flag, "auto"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
 
 class TestServeCommand:
     def test_serve_register_query_shutdown(self, graph_file, tmp_path, capsys):

@@ -1,5 +1,5 @@
 """Docstring checks: ``sparsify``, ``solvers``, ``stream``, ``serve``,
-``core``, ``analysis``, ``kernels``, ``obs``.
+``core``, ``analysis``, ``obs``.
 
 The public-docstring completeness contract — summary punctuation
 (pydocstyle D415) plus numpydoc ``Parameters``/``Returns``/``Raises``
@@ -24,7 +24,6 @@ import pytest
 
 import repro.analysis
 import repro.core
-import repro.kernels
 import repro.obs
 import repro.serve
 import repro.solvers
@@ -33,7 +32,7 @@ import repro.stream
 from repro.analysis import LintConfig, lint_files
 
 PACKAGES = (repro.sparsify, repro.solvers, repro.stream, repro.serve,
-            repro.core, repro.analysis, repro.kernels, repro.obs)
+            repro.core, repro.analysis, repro.obs)
 
 
 def _iter_modules():
