@@ -73,6 +73,7 @@ CONTEXT_METHOD_EFFECTS = {
     "edge_cap": (("max_edges_per_iteration",), ()),
 }
 
+
 @dataclass(frozen=True)
 class LintConfig:
     """Policy knobs of one lint run.

@@ -205,8 +205,9 @@ class SparsifierState:
         Returns
         -------
         float
-            ``min_v deg_G(v) / deg_P(v)`` — a lower bound on the
-            pencil's smallest generalized eigenvalue (Eq. 18).
+            ``min_v deg_G(v) / deg_P(v)`` — an upper bound on the
+            pencil's smallest generalized eigenvalue (Eq. 18; each
+            degree ratio is a Rayleigh quotient of the pencil).
 
         Raises
         ------

@@ -1,30 +1,40 @@
-"""R205 true-positive fixture: unresolvable ``ctx.kernel`` dispatches.
+"""R2 true-positive fixture: paper routines called straight from stage bodies.
 
-Parsed by the linter, never imported — the undefined ``Stage`` name
-only needs to exist at runtime.
+A stage body hands context values to its routine and assigns the
+result back; the contract rules see those ``ctx.*`` reads and writes
+like any other, so a routine call cannot hide undeclared dataflow.
+Parsed by the linter, never imported — the undefined ``Stage`` and
+routine names only need to exist at runtime.
 """
 
 
-class MistypedStage(Stage):                       # noqa: F821
-    """Dispatches to a kernel name the registry does not know."""
+class EmbedStage(Stage):                          # noqa: F821
+    """Scores off-tree edges; hands the routine an undeclared input."""
 
-    name = "mistyped"
-    requires = ("graph",)
-    provides = ("tree_indices",)
-
-    def run(self, ctx):
-        """R205: 'lssst' is not a registered kernel."""
-        return ctx.kernel("lssst")                # R205: unknown kernel
-
-
-class DynamicStage(Stage):                        # noqa: F821
-    """Computes the kernel name at run time."""
-
-    name = "dynamic"
-    requires = ("graph",)
-    provides = ("tree_indices",)
+    name = "embed"
+    requires = ("state",)
+    provides = ("heats",)
 
     def run(self, ctx):
-        """R205: the dispatch target is not a string literal."""
-        which = "ls" + "st"
-        return ctx.kernel(which)                  # R205: non-literal name
+        """R201: ``off_tree`` reaches the routine undeclared."""
+        ctx.heats = joule_heats(                  # noqa: F821
+            ctx.graph, ctx.state.solver(), ctx.off_tree, t=ctx.t
+        )
+        return {}
+
+
+class ThresholdStage(Stage):                      # noqa: F821
+    """Filters the heats; lands the routine's output undeclared."""
+
+    name = "threshold"
+    requires = ("off_tree", "heats", "lambda_max", "lambda_min")
+    provides = ("threshold",)
+
+    def run(self, ctx):
+        """R202: the passing edges are written to an undeclared name."""
+        ctx.threshold = heat_threshold(           # noqa: F821
+            ctx.sigma2, ctx.lambda_min, ctx.lambda_max, t=ctx.t
+        )
+        decision = filter_edges(ctx.heats, ctx.threshold)  # noqa: F821
+        ctx.candidates = ctx.off_tree[decision.passing]
+        return {}

@@ -1,37 +1,39 @@
-"""Kernel-dispatch clean fixture: literal names, contracts match.
+"""R2 clean fixture: stage bodies calling their paper routines directly.
 
-Each stage's ``requires``/``provides`` mirror the dispatched kernel's
-declared dataflow (``KERNEL_DISPATCH_EFFECTS``), so the contract rules
-see the delegated reads/writes and stay silent.
+Every ``ctx.*`` value passed into a routine is required or provided,
+and every routine result lands on a provided name, so the contract
+rules stay silent.  Parsed by the linter, never imported.
 """
 
 
-class TreeViaKernelStage(Stage):                  # noqa: F821
-    """Builds the backbone through the kernel registry."""
+class TreeStage(Stage):                           # noqa: F821
+    """Builds the backbone with the low-stretch tree routine."""
 
-    name = "tree_via_kernel"
-    requires = ()
+    name = "tree"
+    requires = ("graph", "rng")
     provides = ("tree_indices",)
 
     def run(self, ctx):
-        """Dispatch resolves to the 'lsst' kernel's reads/writes."""
-        return ctx.kernel("lsst")
+        """One routine call, declared inputs, declared output."""
+        ctx.tree_indices = low_stretch_tree(      # noqa: F821
+            ctx.graph, method=ctx.tree_method, seed=ctx.rng
+        )
+        return {"edges": int(ctx.tree_indices.size)}
 
 
-class FilterViaKernelStage(Stage):                # noqa: F821
-    """Thresholds off-tree heats through the kernel registry."""
+class ThresholdStage(Stage):                      # noqa: F821
+    """Filters the heats with the θ_σ threshold routine."""
 
-    name = "filter_via_kernel"
+    name = "threshold"
     requires = ("state", "off_tree", "heats", "lambda_max")
     provides = ("threshold", "candidates", "lambda_min")
 
     def run(self, ctx):
-        """Dispatch resolves to the 'filtering' kernel's dataflow."""
-        return ctx.kernel("filtering")
-
-
-def build():
-    """Tree before filter: wirable left to right."""
-    return SparsifyPipeline(                      # noqa: F821
-        [TreeViaKernelStage(), FilterViaKernelStage()]
-    )
+        """Both routine results land on provided names."""
+        ctx.lambda_min = ctx.state.lambda_min()
+        ctx.threshold = heat_threshold(           # noqa: F821
+            ctx.sigma2, ctx.lambda_min, ctx.lambda_max, t=ctx.t
+        )
+        decision = filter_edges(ctx.heats, ctx.threshold)  # noqa: F821
+        ctx.candidates = ctx.off_tree[decision.passing]
+        return {"candidates": int(ctx.candidates.size)}

@@ -61,6 +61,25 @@ def test_contracts_clean_fixture_passes():
     assert not {"R201", "R202", "R203", "R204"} & set(rules)
 
 
+def test_kernels_bad_fixture_fires():
+    """A routine call in a stage body hides no dataflow from R201/R202."""
+    rules, result = _rules(FIXTURES / "kernels_bad.py")
+    assert rules.count("R201") == 1
+    assert rules.count("R202") == 1
+    by_rule = {f.rule: f for f in result.findings}
+    assert by_rule["R201"].symbol == "EmbedStage"
+    assert "off_tree" in by_rule["R201"].message
+    assert by_rule["R202"].symbol == "ThresholdStage"
+    assert "candidates" in by_rule["R202"].message
+    for finding in result.findings:
+        assert finding.line > 0
+
+
+def test_kernels_clean_fixture_passes():
+    rules, _ = _rules(FIXTURES / "kernels_clean.py")
+    assert not {"R201", "R202", "R203", "R204"} & set(rules)
+
+
 def test_locks_bad_fixture_fires():
     rules, result = _rules(FIXTURES / "locks_bad.py")
     assert rules.count("R301") == 3  # dict store, counter bump, .clear()

@@ -1,44 +1,41 @@
-"""Quality contract of the perturbation estimator backend.
+"""Quality contract of the λmax estimate behind the σ² certificate.
 
-Unlike the compute-kernel backends (bit-parity contract, see
-``test_parity.py``), the ``estimator`` kernel family trades exactness
-for solves: the ``perturbation`` backend reuses the last confirmed
-``lambda_max`` as a monotone upper bound on skip rounds (densification
-only adds edges, so the true generalized eigenvalue can only fall).
-Its contract is therefore *quality-banded*, pinned here across the
-parity corpus plus degenerate shapes:
+``EstimateStage`` calls :func:`repro.spectral.generalized_power_iteration`
+for λmax and the state's node-coloring ratio (Eq. 18) for λmin; the
+loop stops as soon as ``λmax / λmin <= σ²``.  Both halves err on the
+same side — a generalized Rayleigh quotient never exceeds the true
+λmax and a degree ratio never falls below the true λmin — so the
+certified ``sigma2_estimate`` is a *lower* bound of the sparsifier's
+exact relative condition number.  Pinned here across structured,
+scale-free, disconnected and degenerate inputs:
 
-1. convergence — the perturbation run certifies whenever the
-   reference run certifies;
-2. target honoured — a certified run's ``sigma2_estimate`` is at most
-   the requested ``sigma2``;
-3. one-sided band — the certified estimate never exceeds
-   ``SIGMA2_QUALITY_FACTOR`` times the reference backend's (skip
-   rounds substitute an upper bound for λmax, so the backend can only
-   certify *deeper* below the target, never looser);
-4. density — the extra depth costs at most
-   ``DENSITY_OVERHEAD_FACTOR`` times the reference edge count.
+1. convergence — every corpus run certifies the target;
+2. target honoured — a certified run's estimate is at most ``σ²``;
+3. one-sided — the certified estimate never exceeds the exact κ of
+   the sparsifier it certifies (dense reference, per component);
+4. backbone kept — the certified sparsifier contains its tree.
+
+The estimator's solve bill is pinned alongside: every round, the
+first and the certifying one included, pays the full
+``power_iterations`` solves.
 """
 
 from __future__ import annotations
 
-import math
+import json
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.sparse.csgraph import connected_components
 
 from repro.graphs import Graph, generators
 from repro.graphs.operations import disjoint_union
-from repro.kernels import ESTIMATOR_BACKENDS, resolve_estimator_backend
-from repro.kernels.estimator import (
-    DENSITY_OVERHEAD_FACTOR,
-    SIGMA2_QUALITY_FACTOR,
-    estimator_perturbation,
-    rayleigh_bound,
-)
 from repro.obs import enable_metrics, get_metrics
-from repro.sparsify import SimilarityAwareSparsifier, sparsify_graph
+from repro.sparsify import SimilarityAwareSparsifier, SparsifierState, sparsify_graph
+from repro.spectral import generalized_power_iteration
+from repro.spectral.eigs import exact_extreme_generalized_eigs
+from repro.trees import low_stretch_tree
 
 from tests.property.test_property_trees import connected_graphs
 
@@ -61,22 +58,33 @@ CORPUS = {
 }
 
 
-def _assert_quality(ref, pert, sigma2):
-    """The four contract clauses, shared by corpus and property runs."""
-    if ref.converged:
-        assert pert.converged, "perturbation must certify when reference does"
-    if pert.converged and not math.isnan(pert.sigma2_estimate):
-        assert pert.sigma2_estimate <= sigma2 * (1 + 1e-12)
-    r, p = ref.sigma2_estimate, pert.sigma2_estimate
-    if ref.converged and pert.converged and r > 0 and p > 0:
-        assert p <= r * SIGMA2_QUALITY_FACTOR, (
-            f"certified sigma2 {p:.3f} looser than the one-sided "
-            f"{SIGMA2_QUALITY_FACTOR}x band over reference {r:.3f}"
+def _exact_kappa(graph: Graph, sparsifier: Graph) -> float:
+    """Exact relative condition number, worst over the components."""
+    count, labels = connected_components(graph.adjacency(), directed=False)
+    LG = graph.laplacian().tocsr()
+    LP = sparsifier.laplacian().tocsr()
+    worst = 1.0
+    for component in range(count):
+        nodes = np.flatnonzero(labels == component)
+        if nodes.size < 2:
+            continue
+        lo, hi = exact_extreme_generalized_eigs(
+            LG[nodes][:, nodes], LP[nodes][:, nodes]
         )
-    assert (
-        pert.sparsifier.num_edges
-        <= ref.sparsifier.num_edges * DENSITY_OVERHEAD_FACTOR
-    ), "skip-round over-densification exceeded the declared overhead"
+        worst = max(worst, hi / lo)
+    return worst
+
+
+def _assert_quality(graph, result, sigma2):
+    """Clauses 2-4 of the contract for one certified run."""
+    assert result.sigma2_estimate <= sigma2 * (1 + 1e-12)
+    exact = _exact_kappa(graph, result.sparsifier)
+    assert result.sigma2_estimate <= exact * (1 + 1e-9), (
+        f"certified sigma2 {result.sigma2_estimate:.6f} above the exact "
+        f"kappa {exact:.6f} of the sparsifier it certifies"
+    )
+    assert bool(result.edge_mask[result.tree_indices].all())
+    assert result.sparsifier.num_edges >= result.tree_indices.size
 
 
 class TestQualityContract:
@@ -85,16 +93,9 @@ class TestQualityContract:
     def test_corpus(self, name, seed):
         g = CORPUS[name]()
         sigma2 = 30.0
-        ref = sparsify_graph(
-            g, sigma2=sigma2, seed=seed, estimator_backend="reference"
-        )
-        pert = sparsify_graph(
-            g, sigma2=sigma2, seed=seed, estimator_backend="perturbation"
-        )
-        _assert_quality(ref, pert, sigma2)
-        # Upper-bound tracking never loosens the sparsifier: skip
-        # rounds only densify more aggressively.
-        assert pert.sparsifier.num_edges >= ref.tree_indices.size
+        result = sparsify_graph(g, sigma2=sigma2, seed=seed)
+        assert result.converged
+        _assert_quality(g, result, sigma2)
 
     @given(
         connected_graphs(max_n=16),
@@ -103,125 +104,47 @@ class TestQualityContract:
     )
     @settings(max_examples=12, deadline=None)
     def test_property_random_graphs(self, graph, seed, sigma2):
-        ref = sparsify_graph(
-            graph, sigma2=sigma2, seed=seed, estimator_backend="reference"
-        )
-        pert = sparsify_graph(
-            graph, sigma2=sigma2, seed=seed, estimator_backend="perturbation"
-        )
-        _assert_quality(ref, pert, sigma2)
-
-    def test_refresh_one_never_skips(self):
-        """``estimator_refresh=1`` disables skip rounds entirely; the
-        run still certifies the target."""
-        g = CORPUS["grid"]()
-        pert = sparsify_graph(
-            g, sigma2=30.0, seed=3, estimator_backend="perturbation",
-            estimator_refresh=1,
-        )
-        assert pert.converged
-        assert pert.sigma2_estimate <= 30.0
+        result = sparsify_graph(graph, sigma2=sigma2, seed=seed)
+        if result.converged:
+            _assert_quality(graph, result, sigma2)
 
 
-class TestBracketMechanics:
-    """Direct unit pins of the perturbation backend's skip/confirm
-    schedule, independent of full pipeline runs."""
-
-    @pytest.fixture
-    def state(self):
-        from repro.sparsify import SparsifierState
-        from repro.trees import low_stretch_tree
-
-        g = generators.grid2d(8, 8, weights="uniform", seed=0)
-        return SparsifierState(g, low_stretch_tree(g, seed=0))
-
-    def test_first_round_pays_full_accuracy(self, state):
-        cache = {}
-        value, solves = estimator_perturbation(
-            state, rng=np.random.default_rng(0), power_iterations=5,
-            lambda_min=1.0, sigma2=1e-9, probes=None, cache=cache,
-        )
-        assert solves == 5
-        assert cache["lambda_max"] == value
-        assert cache["rounds_since_confirm"] == 0
-        assert cache["anchor"].shape[0] == state.laplacian.shape[0]
-
-    def test_skip_round_returns_cached_upper_for_free(self, state):
-        cache = {}
-        value, _ = estimator_perturbation(
-            state, rng=np.random.default_rng(0), power_iterations=5,
-            lambda_min=1e-9, sigma2=1.0, probes=None, cache=cache,
-        )
-        skipped, solves = estimator_perturbation(
-            state, rng=np.random.default_rng(1), power_iterations=5,
-            lambda_min=1e-9, sigma2=1.0, probes=None, cache=cache,
-        )
-        assert solves == 0
-        assert skipped == value
-        assert cache["rounds_since_confirm"] == 1
-        assert cache["lower_bound"] <= value * (1 + 1e-12)
-
-    def test_scheduled_confirm_is_truncated(self, state):
-        cache = {}
-        estimator_perturbation(
-            state, rng=np.random.default_rng(0), power_iterations=5,
-            lambda_min=1e-9, sigma2=1.0, probes=None, cache=cache,
-            refresh=2,
-        )
-        estimator_perturbation(
-            state, rng=np.random.default_rng(1), power_iterations=5,
-            lambda_min=1e-9, sigma2=1.0, probes=None, cache=cache,
-            refresh=2,
-        )
-        _, solves = estimator_perturbation(
-            state, rng=np.random.default_rng(2), power_iterations=5,
-            lambda_min=1e-9, sigma2=1.0, probes=None, cache=cache,
-            refresh=2,
-        )
-        assert solves == 3  # min(3, power_iterations), not the full 5
-        assert cache["rounds_since_confirm"] == 0
-
-    def test_certification_confirm_is_full_accuracy(self, state):
-        cache = {}
-        value, _ = estimator_perturbation(
-            state, rng=np.random.default_rng(0), power_iterations=5,
-            lambda_min=1.0, sigma2=1.0, probes=None, cache=cache,
-        )
-        # A line at/above the tracked upper bound forces a full confirm
-        # (only full-accuracy confirmations may certify convergence).
-        _, solves = estimator_perturbation(
-            state, rng=np.random.default_rng(1), power_iterations=5,
-            lambda_min=1.0, sigma2=2.0 * value, probes=None, cache=cache,
-        )
-        assert solves == 5
-
-
-def _total_solves() -> float:
+def _estimate_solves() -> float:
     values = get_metrics().snapshot().get(
         "repro_solver_solves_total", {}
     ).get("values", {})
-    return float(sum(values.values()))
+    return float(sum(
+        count for key, count in values.items()
+        if json.loads(key)[1] == "estimate"
+    ))
+
+
+class TestBracketMechanics:
+    """The per-round solve bill of the λmax estimate: no round is
+    skipped or truncated, so the certificate always rests on a
+    full-accuracy power iteration."""
+
+    def test_first_round_pays_full_accuracy(self):
+        enable_metrics()
+        g = generators.grid2d(8, 8, weights="uniform", seed=0)
+        before = _estimate_solves()
+        # A target the bare tree meets: the run stops after round one.
+        result = sparsify_graph(g, sigma2=1e9, seed=0, power_iterations=5)
+        assert result.converged and len(result.iterations) == 1
+        assert _estimate_solves() - before == 5
+
+    def test_certification_confirm_is_full_accuracy(self):
+        enable_metrics()
+        g = generators.grid2d(12, 12, weights="uniform", seed=1)
+        before = _estimate_solves()
+        result = sparsify_graph(g, sigma2=30.0, seed=0, power_iterations=5)
+        assert result.converged and len(result.iterations) >= 2
+        # Every round, the certifying one included, paid all 5 solves.
+        assert _estimate_solves() - before == 5 * len(result.iterations)
 
 
 class TestSolveCut:
-    def test_perturbation_spends_fewer_solves(self):
-        enable_metrics()
-        g = generators.grid2d(40, 40, weights="uniform", seed=1)
-        counts = {}
-        for backend in ("reference", "perturbation"):
-            before = _total_solves()
-            result = sparsify_graph(
-                g, sigma2=30.0, seed=7, estimator_backend=backend,
-                kernel_backend="vectorized",
-            )
-            counts[backend] = _total_solves() - before
-            assert result.converged
-        assert counts["reference"] > 0
-        assert counts["perturbation"] < counts["reference"]
-
     def test_counter_labels_callers(self):
-        import json
-
         enable_metrics()
         g = generators.grid2d(12, 12, weights="uniform", seed=1)
         sparsify_graph(g, sigma2=40.0, seed=0)
@@ -231,63 +154,31 @@ class TestSolveCut:
 
 
 class TestBackendSurface:
-    def test_estimator_backend_family(self):
-        assert ESTIMATOR_BACKENDS == ("reference", "perturbation")
-        assert resolve_estimator_backend("auto") == "perturbation"
-        assert resolve_estimator_backend("reference") == "reference"
-        assert resolve_estimator_backend("perturbation") == "perturbation"
-        with pytest.raises(ValueError, match="unknown estimator backend"):
-            resolve_estimator_backend("grass")
-
     def test_sparsifier_rejects_unknown_estimator(self):
-        with pytest.raises(ValueError, match="unknown estimator backend"):
-            SimilarityAwareSparsifier(estimator_backend="fortran")
-
-    def test_cli_exposes_estimator_flag(self):
-        from repro.cli import build_parser
-
-        parser = build_parser()
-        args = parser.parse_args(
-            ["sparsify", "in.mtx", "-o", "out.mtx",
-             "--estimator-backend", "perturbation"]
-        )
-        assert args.estimator_backend == "perturbation"
-        args = parser.parse_args(
-            ["stream", "events.jsonl", "--graph", "g.mtx",
-             "--estimator-backend", "auto"]
-        )
-        assert args.estimator_backend == "auto"
+        """The estimator family is gone: the old knob is an error,
+        never a silently ignored argument."""
+        with pytest.raises(TypeError, match="estimator_backend"):
+            SimilarityAwareSparsifier(estimator_backend="perturbation")
+        with pytest.raises(TypeError, match="estimator_backend"):
+            sparsify_graph(
+                generators.path_graph(4), sigma2=30.0,
+                estimator_backend="reference",
+            )
 
 
 class TestRayleighBound:
     def test_bound_never_exceeds_true_extreme(self):
+        """Each power-iteration estimate is a generalized Rayleigh
+        quotient, so it lies in ``[λmin, λmax]`` of the pencil for any
+        iteration count."""
         g = generators.grid2d(8, 8, weights="uniform", seed=0)
-        from repro.sparsify import SparsifierState
-        from repro.trees import low_stretch_tree
-
-        idx = low_stretch_tree(g, seed=0)
-        state = SparsifierState(g, idx)
-        rng = np.random.default_rng(3)
-        block = rng.standard_normal((g.n, 4))
-        block -= block.mean(axis=0)
-        bound = rayleigh_bound(
-            state.host_laplacian, state.laplacian, (block,)
+        state = SparsifierState(g, low_stretch_tree(g, seed=0))
+        lo, hi = exact_extreme_generalized_eigs(
+            state.host_laplacian, state.laplacian
         )
-        from repro.spectral import generalized_power_iteration
-
-        true = generalized_power_iteration(
-            state.host_laplacian, state.laplacian, state.solver(),
-            iterations=40, seed=5,
-        )
-        assert bound <= true * (1 + 1e-6)
-
-    def test_skips_none_and_degenerate_blocks(self):
-        g = generators.path_graph(4)
-        from repro.sparsify import SparsifierState
-
-        state = SparsifierState(g, np.arange(3))
-        out = rayleigh_bound(
-            state.host_laplacian, state.laplacian,
-            (None, np.zeros(4)),
-        )
-        assert out == float("-inf")
+        for iterations in (1, 2, 5, 10, 40):
+            estimate = generalized_power_iteration(
+                state.host_laplacian, state.laplacian, state.solver(),
+                iterations=iterations, seed=5,
+            )
+            assert lo * (1 - 1e-9) <= estimate <= hi * (1 + 1e-9), iterations

@@ -1,4 +1,11 @@
-"""Registry mechanics: resolution, fallback chains, validation."""
+"""Stage bodies call their paper routines directly; no backend knob.
+
+There is no kernel registry: ``TreeStage`` calls ``low_stretch_tree``
+itself, and the ``kernel_backend`` knob is gone from every library
+entry point.  Passing it is an error at construction, never a silently
+ignored argument (the CLI and HTTP edges are pinned in
+``tests/test_cli.py`` and ``tests/serve/test_service.py``).
+"""
 
 from __future__ import annotations
 
@@ -6,164 +13,38 @@ import numpy as np
 import pytest
 
 from repro.core.context import PipelineContext
+from repro.core.stages import TreeStage
 from repro.graphs import generators
-from repro.kernels import (
-    BACKENDS,
-    HAS_NUMBA,
-    KERNELS,
-    available_backends,
-    kernel_impl,
-    register_impl,
-    resolve_backend,
-    run_kernel,
-)
-from repro.kernels import reference, vectorized
+from repro.sparsify import SimilarityAwareSparsifier
+from repro.stream import DynamicSparsifier
+from repro.trees import low_stretch_tree
 from repro.utils.rng import as_rng
 
 
-class TestResolveBackend:
-    def test_concrete_names_resolve_to_themselves(self):
-        assert resolve_backend("reference") == "reference"
-        assert resolve_backend("vectorized") == "vectorized"
-
-    def test_auto_prefers_numba_else_vectorized(self):
-        expected = "numba" if HAS_NUMBA else "vectorized"
-        assert resolve_backend("auto") == expected
-
-    def test_numba_degrades_to_vectorized_when_absent(self):
-        expected = "numba" if HAS_NUMBA else "vectorized"
-        assert resolve_backend("numba") == expected
-
-    def test_unknown_backend_raises(self):
-        with pytest.raises(ValueError, match="unknown kernel backend"):
-            resolve_backend("fortran")
-
-    def test_available_backends(self):
-        avail = available_backends()
-        assert avail[:2] == ("reference", "vectorized")
-        assert ("numba" in avail) == HAS_NUMBA
-        assert set(avail) <= set(BACKENDS)
-
-
-class TestRegistryTable:
-    def test_kernel_names_match_keys(self):
-        assert set(KERNELS) == {
-            "lsst", "embedding", "filtering", "scoring", "estimator",
-        }
-        for name, kernel in KERNELS.items():
-            assert kernel.name == name
-            assert kernel.paper
-            assert callable(kernel.wiring)
-            assert all(isinstance(r, str) for r in kernel.reads)
-            assert all(isinstance(w, str) for w in kernel.writes)
-
-    def test_reference_implements_every_kernel(self):
-        assert kernel_impl("lsst", "reference") is reference.lsst
-        assert kernel_impl("embedding", "reference") is reference.embedding
-        assert kernel_impl("filtering", "reference") is reference.filtering
-        assert kernel_impl("scoring", "reference") is reference.scoring
-
-    def test_vectorized_implements_every_kernel(self):
-        assert kernel_impl("lsst", "vectorized") is vectorized.lsst
-        assert kernel_impl("embedding", "vectorized") is vectorized.embedding
-        assert kernel_impl("filtering", "vectorized") is vectorized.filtering
-        assert kernel_impl("scoring", "vectorized") is vectorized.scoring
-
-    @pytest.mark.skipif(not HAS_NUMBA, reason="numba not installed")
-    def test_numba_fallback_chain_fills_gaps(self):
-        # embedding/filtering have no numba implementation: the chain
-        # must land on the vectorized one, never fail.
-        assert kernel_impl("embedding", "numba") is vectorized.embedding
-        assert kernel_impl("filtering", "numba") is vectorized.filtering
-
-    def test_numba_request_always_runs(self):
-        # With or without numba installed, every kernel resolves.  The
-        # estimator kernel has its own backend family and never sees
-        # the numba request.
-        for name in KERNELS:
-            if name == "estimator":
-                continue
-            assert callable(kernel_impl(name, "numba"))
-
-    def test_unknown_kernel_raises(self):
-        with pytest.raises(ValueError, match="unknown kernel"):
-            kernel_impl("fft", "reference")
-
-
-class TestRegisterImpl:
-    def test_unknown_kernel_rejected(self):
-        with pytest.raises(ValueError, match="unknown kernel"):
-            register_impl("fft", "reference")
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError, match="unknown backend"):
-            register_impl("lsst", "fortran")
-
-    def test_duplicate_slot_rejected(self):
-        decorator = register_impl("lsst", "reference")
-        with pytest.raises(ValueError, match="duplicate implementation"):
-            decorator(lambda *a, **k: None)
-        # The original registration must survive the failed attempt.
-        assert kernel_impl("lsst", "reference") is reference.lsst
-
-
 class TestContextDispatch:
-    def test_context_resolves_backend_eagerly(self):
-        g = generators.path_graph(4)
-        ctx = PipelineContext(
-            graph=g, rng=as_rng(0), sigma2=60.0, kernel_backend="auto"
-        )
-        assert ctx.kernel_backend in available_backends()
-
     def test_context_rejects_unknown_backend(self):
         g = generators.path_graph(4)
-        with pytest.raises(ValueError, match="unknown kernel backend"):
+        with pytest.raises(TypeError, match="kernel_backend"):
             PipelineContext(
                 graph=g, rng=as_rng(0), sigma2=60.0, kernel_backend="fortran"
             )
 
-    def test_run_kernel_unknown_name_raises(self):
-        g = generators.path_graph(4)
-        ctx = PipelineContext(graph=g, rng=as_rng(0), sigma2=60.0)
-        with pytest.raises(ValueError, match="unknown kernel"):
-            run_kernel(ctx, "fft")
-
     def test_lsst_dispatch_writes_tree(self):
         g = generators.grid2d(5, 5, weights="uniform", seed=1)
-        ctx = PipelineContext(
-            graph=g, rng=as_rng(3), sigma2=60.0, kernel_backend="vectorized"
-        )
-        counters = ctx.kernel("lsst")
+        ctx = PipelineContext(graph=g, rng=as_rng(3), sigma2=60.0)
+        counters = TreeStage().run(ctx)
         assert counters == {"edges": g.n - 1}
-        assert ctx.tree_indices.size == g.n - 1
         assert ctx.tree_indices.dtype == np.int64
+        expected = low_stretch_tree(g, method="akpw", seed=as_rng(3))
+        assert np.array_equal(ctx.tree_indices, expected)
 
 
 class TestApiValidation:
     def test_sparsifier_rejects_unknown_backend(self):
-        from repro.sparsify import SimilarityAwareSparsifier
-
-        with pytest.raises(ValueError, match="unknown kernel backend"):
+        with pytest.raises(TypeError, match="kernel_backend"):
             SimilarityAwareSparsifier(kernel_backend="fortran")
 
     def test_dynamic_rejects_unknown_backend(self):
-        from repro.stream import DynamicSparsifier
-
         g = generators.grid2d(4, 4)
-        with pytest.raises(ValueError, match="unknown kernel backend"):
+        with pytest.raises(TypeError, match="kernel_backend"):
             DynamicSparsifier(g, kernel_backend="fortran")
-
-    def test_cli_exposes_kernel_backend_flag(self):
-        from repro.cli import build_parser
-
-        parser = build_parser()
-        args = parser.parse_args(
-            ["sparsify", "in.mtx", "-o", "out.mtx",
-             "--kernel-backend", "vectorized"]
-        )
-        assert args.kernel_backend == "vectorized"
-        args = parser.parse_args(
-            ["stream", "events.jsonl", "--graph", "g.mtx",
-             "--kernel-backend", "auto"]
-        )
-        assert args.kernel_backend == "auto"
