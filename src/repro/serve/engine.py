@@ -49,6 +49,7 @@ from repro.sparsify.effective_resistance import (
 )
 from repro.spectral.embedding import spectral_coordinates
 from repro.stream.dynamic import DynamicSparsifier
+from repro.utils.validation import as_index_array
 
 __all__ = ["EngineStats", "PendingQuery", "QueryEngine"]
 
@@ -335,7 +336,8 @@ class QueryEngine:
         Raises
         ------
         ValueError
-            If ``dim`` is out of range or a node label is invalid.
+            If ``dim`` is out of range or a node label is out of range,
+            boolean, non-integral or non-finite.
         """
         with self.lock:
             self._refresh_locked()
@@ -347,7 +349,7 @@ class QueryEngine:
             if nodes is None:
                 nodes = np.arange(n, dtype=np.int64)
             else:
-                nodes = np.asarray(nodes, dtype=np.int64).ravel()
+                nodes = as_index_array(nodes, "nodes").ravel()
                 if nodes.size and (nodes.min() < 0 or nodes.max() >= n):
                     raise ValueError(f"node label out of range [0, {n})")
             self.stats.queries += int(nodes.size)

@@ -30,14 +30,16 @@ set:
 
 Concurrency model (the HTTP service runs one handler thread per
 connection): the registry lock guards the entry map and residency
-bookkeeping; each entry carries one *persistent* reentrant lock —
-shared with its :class:`~repro.serve.QueryEngine` across spill/reload
-cycles — that serializes queries, event application and spilling of
-that artifact.  Lock order is always registry → entry, and eviction
-only *try*-acquires entry locks: an artifact mid-request is skipped in
-favor of the next LRU candidate (temporarily exceeding
-``max_resident`` when every candidate is busy) rather than risking a
-deadlock or checkpointing a half-applied batch.
+bookkeeping, but a sparsifier is built outside it and only admitted
+under it, so a registration never stalls queries on other artifacts;
+each entry carries one *persistent* reentrant lock — shared with its
+:class:`~repro.serve.QueryEngine` across spill/reload cycles — that
+serializes queries, event application and spilling of that artifact.
+Lock order is always registry → entry, and eviction only *try*-acquires
+entry locks: an artifact mid-request is skipped in favor of the next
+LRU candidate (temporarily exceeding ``max_resident`` when every
+candidate is busy) rather than risking a deadlock or checkpointing a
+half-applied batch.
 """
 
 from __future__ import annotations
@@ -271,18 +273,13 @@ class SparsifierRegistry:
         }
         key = artifact_key(graph_fingerprint(graph), params)
         with self._lock:
-            if key in self._entries:
-                self._entries.move_to_end(key)
-                self.stats.hits += 1
-                _count_registry_event("hit")
+            if self._hit_locked(key):
                 return key
-            dyn = DynamicSparsifier(
-                graph, sigma2=sigma2, seed=seed, tree_method=tree_method, **options
-            )
-            self.stats.builds += 1
-            _count_registry_event("build")
-            self._admit_locked(RegistryEntry(key, params, dyn))
-            return key
+        dyn = DynamicSparsifier(
+            graph, sigma2=sigma2, seed=seed, tree_method=tree_method, **options
+        )
+        self._admit_built(key, params, dyn)
+        return key
 
     def register_result(
         self, result: SparsifyResult, seed: int = 0, **options
@@ -318,16 +315,34 @@ class SparsifierRegistry:
         }
         key = artifact_key(graph_fingerprint(result.graph), params)
         with self._lock:
-            if key in self._entries:
-                self._entries.move_to_end(key)
-                self.stats.hits += 1
-                _count_registry_event("hit")
+            if self._hit_locked(key):
                 return key
-            dyn = DynamicSparsifier.from_result(result, seed=seed, **options)
+        dyn = DynamicSparsifier.from_result(result, seed=seed, **options)
+        self._admit_built(key, params, dyn)
+        return key
+
+    def _hit_locked(self, key: str) -> bool:
+        """Touch ``key`` and count a hit if it is registered."""
+        if key not in self._entries:
+            return False
+        self._entries.move_to_end(key)
+        self.stats.hits += 1
+        _count_registry_event("hit")
+        return True
+
+    def _admit_built(self, key: str, params: dict, dyn: DynamicSparsifier) -> None:
+        """Admit a sparsifier built outside the registry lock.
+
+        Builds run unlocked so queries on other artifacts never wait for
+        one; when two registrations of one key race, the first to get
+        here is admitted and the other build is dropped as a hit.
+        """
+        with self._lock:
+            if self._hit_locked(key):
+                return
             self.stats.builds += 1
             _count_registry_event("build")
             self._admit_locked(RegistryEntry(key, params, dyn))
-            return key
 
     def _admit_locked(self, entry: RegistryEntry) -> None:
         self._entries[entry.key] = entry

@@ -6,7 +6,8 @@ dependencies.  One handler thread per connection; per-artifact engine
 locks serialize queries against event application, and the registry
 lock serializes admissions/evictions.
 
-Routes (all bodies and responses are JSON):
+Routes (all bodies and responses are JSON; array fields are marked
+``[f8]`` or ``[i8]``):
 
 =======  =====================  ==============================================
 Method   Path                   Action
@@ -23,14 +24,32 @@ GET      ``/health``            SLO alert-rule evaluation over the live
                                 metrics snapshot — ``200`` when every
                                 rule passes, ``503`` otherwise, with a
                                 per-rule JSON body either way
-POST     ``/graphs``            register ``{n, u, v, w, sigma2?, seed?, ...}``
-POST     ``/query/resistance``  ``{key, pairs}`` → effective resistances
-POST     ``/query/similarity``  ``{key, pairs}`` → ``w·R_eff`` edge scores
-POST     ``/query/solve``       ``{key, rhs}`` → ``L_P⁺ rhs``
-POST     ``/query/embedding``   ``{key, nodes?, dim?}`` → spectral coordinates
+POST     ``/graphs``            register ``{n, u[i8], v[i8], w[f8], sigma2?,
+                                seed?, ...}`` → ``{key, ...}``
+POST     ``/query/resistance``  ``{key, pairs[i8]}`` → ``{values[f8]}``,
+                                effective resistances
+POST     ``/query/similarity``  ``{key, pairs[i8]}`` → ``{values[f8]}``,
+                                ``w·R_eff`` edge scores
+POST     ``/query/solve``       ``{key, rhs[f8]}`` → ``{x[f8]}``, ``L_P⁺ rhs``
+POST     ``/query/embedding``   ``{key, nodes[i8]?, dim?}`` →
+                                ``{coordinates[f8]}``, spectral coordinates
 POST     ``/events``            ``{key, events}`` → apply a stream batch
 POST     ``/shutdown``          stop serving (after responding)
 =======  =====================  ==============================================
+
+An array field is either a plain (nested) JSON list or the packed form
+``{"dtype": "<f8" | "<i8", "shape": [...], "data": base64}``, whose
+``data`` is the base64 of the array's little-endian bytes in C order.
+The packed form skips float formatting and parsing, which costs far
+more than a solve.  Its ``dtype`` must be the field's; a bad base64
+string, a negative dimension or a byte count that does not match
+``shape`` is a ``400``, and the length check runs before decoding, so
+no allocation is ever sized by the declared shape.  Responses answer
+in kind: a query whose array field came packed gets its ``values``,
+``x`` or ``coordinates`` packed, any other gets lists (so an embedding
+request without ``nodes`` gets lists).  :class:`ServeClient` packs
+everything it sends.  Integer fields, in either form, refuse boolean,
+non-integral and non-finite entries rather than casting them.
 
 Event records use the same shape as the JSONL event-log format
 (:mod:`repro.stream.events`): ``{"type": "insert"|"delete"|"update",
@@ -51,8 +70,11 @@ exception → ``500``, with its traceback logged.  The response body is
 
 from __future__ import annotations
 
+import base64
+import binascii
 import json
 import logging
+import math
 import threading
 import urllib.error
 import urllib.request
@@ -65,6 +87,7 @@ from repro.obs import enable_metrics, get_metrics, get_tracer
 from repro.obs.alerts import default_serving_rules, evaluate_rules
 from repro.serve.registry import SparsifierRegistry
 from repro.stream.events import EdgeDelete, EdgeEvent, EdgeInsert, WeightUpdate
+from repro.utils.validation import as_index_array, check_integer
 
 __all__ = ["MAX_BODY_BYTES", "ServeClient", "ServiceError", "SparsifierService"]
 
@@ -85,6 +108,74 @@ _ENDPOINTS = frozenset({
     "/query/similarity", "/query/solve", "/query/embedding", "/events",
     "/shutdown",
 })
+
+
+#: Wire dtypes of the packed array form, and the in-memory dtype each
+#: decodes to.
+_F8, _I8 = "<f8", "<i8"
+_NATIVE = {_F8: np.float64, _I8: np.int64}
+
+
+def _pack(array, dtype: str) -> dict:
+    """An array in the packed wire form (C-order little-endian bytes)."""
+    data = np.asarray(array, dtype=dtype)
+    return {
+        "dtype": dtype,
+        "shape": list(data.shape),
+        "data": base64.b64encode(data.tobytes()).decode("ascii"),
+    }
+
+
+def _unpack(value, dtype: str, name: str) -> np.ndarray:
+    """One array field off the wire: the packed form or a JSON list.
+
+    Returns a writable native-endian array.  Every check on the packed
+    form runs before its ``data`` is decoded, so a huge declared
+    ``shape`` costs nothing.
+    """
+    if not isinstance(value, dict):
+        if dtype == _I8:
+            return as_index_array(value, name)
+        return np.asarray(value, dtype=np.float64)
+    if set(value) != {"dtype", "shape", "data"}:
+        raise ValueError(
+            f"packed {name} must have exactly the keys dtype, shape and data"
+        )
+    if value["dtype"] != dtype:
+        raise ValueError(
+            f"packed {name} must have dtype {dtype!r}, got {value['dtype']!r}"
+        )
+    shape, data = value["shape"], value["data"]
+    if not isinstance(shape, list) or not all(
+        type(dim) is int and dim >= 0 for dim in shape
+    ):
+        raise ValueError(
+            f"packed {name} shape must be a list of non-negative integers, "
+            f"got {shape!r}"
+        )
+    if not isinstance(data, str):
+        raise ValueError(f"packed {name} data must be a base64 string")
+    nbytes = math.prod(shape) * 8
+    if len(data) != 4 * -(-nbytes // 3):
+        raise ValueError(
+            f"packed {name} has {len(data)} base64 characters; shape "
+            f"{shape} needs {4 * -(-nbytes // 3)}"
+        )
+    try:
+        raw = base64.b64decode(data, validate=True)
+    except binascii.Error as exc:
+        raise ValueError(f"packed {name} data is not base64: {exc}") from exc
+    if len(raw) != nbytes:
+        raise ValueError(
+            f"packed {name} decodes to {len(raw)} bytes; shape {shape} "
+            f"needs {nbytes}"
+        )
+    return np.frombuffer(raw, dtype=dtype).reshape(shape).astype(_NATIVE[dtype])
+
+
+def _reply(array: np.ndarray, sent) -> dict | list:
+    """A float result in the form its request's array came in."""
+    return _pack(array, _F8) if isinstance(sent, dict) else array.tolist()
 
 
 def _event_from_record(record: dict) -> EdgeEvent:
@@ -140,23 +231,23 @@ class _Handler(BaseHTTPRequestHandler):
         self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(body)))
         self.end_headers()
-        self.wfile.write(body)
-
-    def _endpoint(self) -> str:
-        return self.path if self.path in _ENDPOINTS else "other"
-
-    def _observe_request(self, span) -> None:
+        # Observed before the body goes out, like the error counter, so a
+        # client that has read its response finds it in /metrics.
         get_metrics().histogram(
             "repro_http_request_seconds",
             "Wall-clock seconds per HTTP request, by endpoint "
             "(unknown paths pool under 'other').",
             labelnames=("endpoint",),
-        ).observe(span.elapsed, endpoint=self._endpoint())
+        ).observe(self._span.lap(), endpoint=self._endpoint())
+        self.wfile.write(body)
+
+    def _endpoint(self) -> str:
+        return self.path if self.path in _ENDPOINTS else "other"
 
     def do_GET(self) -> None:
         with get_tracer().span(
             f"GET {self.path}", category="serve"
-        ) as span:
+        ) as self._span:
             if self.path == "/stats":
                 payload = self.service._registry.describe()
                 payload["metrics"] = get_metrics().snapshot()
@@ -169,14 +260,12 @@ class _Handler(BaseHTTPRequestHandler):
                 self._send(200 if report.healthy else 503, report.as_dict())
             else:
                 self._send(404, {"error": f"unknown path {self.path!r}"})
-        self._observe_request(span)
 
     def do_POST(self) -> None:
         with get_tracer().span(
             f"POST {self.path}", category="serve"
-        ) as span:
+        ) as self._span:
             self._handle_post()
-        self._observe_request(span)
 
     def _handle_post(self) -> None:
         header = self.headers.get("Content-Length") or "0"
@@ -368,10 +457,10 @@ class SparsifierService:
 
     def _post_graphs(self, payload: dict) -> dict:
         graph = Graph(
-            int(self._required(payload, "n")),
-            np.asarray(self._required(payload, "u"), dtype=np.int64),
-            np.asarray(self._required(payload, "v"), dtype=np.int64),
-            np.asarray(self._required(payload, "w"), dtype=np.float64),
+            check_integer(self._required(payload, "n"), "n"),
+            _unpack(self._required(payload, "u"), _I8, "u"),
+            _unpack(self._required(payload, "v"), _I8, "v"),
+            _unpack(self._required(payload, "w"), _F8, "w"),
         )
         params = {
             k: v
@@ -390,27 +479,30 @@ class SparsifierService:
 
     def _post_resistance(self, payload: dict) -> dict:
         engine = self._registry.engine(self._required(payload, "key"))
-        values = engine.resistance(self._required(payload, "pairs"))
-        return {"values": values.tolist()}
+        pairs = self._required(payload, "pairs")
+        values = engine.resistance(_unpack(pairs, _I8, "pairs"))
+        return {"values": _reply(values, pairs)}
 
     def _post_similarity(self, payload: dict) -> dict:
         engine = self._registry.engine(self._required(payload, "key"))
-        values = engine.similarity(self._required(payload, "pairs"))
-        return {"values": values.tolist()}
+        pairs = self._required(payload, "pairs")
+        values = engine.similarity(_unpack(pairs, _I8, "pairs"))
+        return {"values": _reply(values, pairs)}
 
     def _post_solve(self, payload: dict) -> dict:
         engine = self._registry.engine(self._required(payload, "key"))
-        x = engine.solve(np.asarray(self._required(payload, "rhs"), dtype=np.float64))
-        return {"x": x.tolist()}
+        rhs = self._required(payload, "rhs")
+        x = engine.solve(_unpack(rhs, _F8, "rhs"))
+        return {"x": _reply(x, rhs)}
 
     def _post_embedding(self, payload: dict) -> dict:
         engine = self._registry.engine(self._required(payload, "key"))
         nodes = payload.get("nodes")
         coords = engine.embedding(
-            None if nodes is None else np.asarray(nodes, dtype=np.int64),
-            dim=int(payload.get("dim", 2)),
+            None if nodes is None else _unpack(nodes, _I8, "nodes"),
+            dim=check_integer(payload.get("dim", 2), "dim"),
         )
-        return {"coordinates": coords.tolist()}
+        return {"coordinates": _reply(coords, nodes)}
 
     def _post_events(self, payload: dict) -> dict:
         key = self._required(payload, "key")
@@ -460,6 +552,14 @@ class ServiceError(RuntimeError):
 class ServeClient:
     """In-process JSON client for :class:`SparsifierService`.
 
+    Every array it sends goes in the packed base64 form, so the service
+    packs its answers too (an embedding request without ``nodes`` sends
+    no array and gets lists); either way the methods return the float64
+    values bit for bit as the engine computed them.
+    Vertex labels (``pairs``, ``nodes``) are checked before sending: a
+    boolean, fractional or non-finite label raises :class:`ValueError`
+    here rather than a :class:`ServiceError` from the service.
+
     Parameters
     ----------
     url:
@@ -496,6 +596,10 @@ class ServeClient:
                 exc.close()  # the error response holds the socket open
             raise ServiceError(exc.code, message, body=body) from exc
 
+    def _query(self, path: str, payload: dict, result: str) -> np.ndarray:
+        """POST a query; unpack the float array field ``result`` of the reply."""
+        return _unpack(self._request("POST", path, payload)[result], _F8, result)
+
     def register(self, graph: Graph, **params) -> str:
         """Register a graph with the service.
 
@@ -515,9 +619,9 @@ class ServeClient:
         """
         payload = {
             "n": int(graph.n),
-            "u": graph.u.tolist(),
-            "v": graph.v.tolist(),
-            "w": graph.w.tolist(),
+            "u": _pack(graph.u, _I8),
+            "v": _pack(graph.v, _I8),
+            "w": _pack(graph.w, _F8),
             **params,
         }
         return self._request("POST", "/graphs", payload)["key"]
@@ -537,10 +641,8 @@ class ServeClient:
         numpy.ndarray
             One resistance per pair.
         """
-        payload = {"key": key, "pairs": np.asarray(pairs).tolist()}
-        return np.asarray(
-            self._request("POST", "/query/resistance", payload)["values"]
-        )
+        payload = {"key": key, "pairs": _pack(as_index_array(pairs, "pairs"), _I8)}
+        return self._query("/query/resistance", payload, "values")
 
     def similarity(self, key: str, pairs) -> np.ndarray:
         """Edge similarity scores ``w·R_eff`` of host edges.
@@ -557,10 +659,8 @@ class ServeClient:
         numpy.ndarray
             One score per edge.
         """
-        payload = {"key": key, "pairs": np.asarray(pairs).tolist()}
-        return np.asarray(
-            self._request("POST", "/query/similarity", payload)["values"]
-        )
+        payload = {"key": key, "pairs": _pack(as_index_array(pairs, "pairs"), _I8)}
+        return self._query("/query/similarity", payload, "values")
 
     def solve(self, key: str, rhs) -> np.ndarray:
         """Apply ``L_P⁺`` to a right-hand side.
@@ -577,8 +677,7 @@ class ServeClient:
         numpy.ndarray
             The solution, with the shape of ``rhs``.
         """
-        payload = {"key": key, "rhs": np.asarray(rhs).tolist()}
-        return np.asarray(self._request("POST", "/query/solve", payload)["x"])
+        return self._query("/query/solve", {"key": key, "rhs": _pack(rhs, _F8)}, "x")
 
     def embedding(self, key: str, nodes=None, dim: int = 2) -> np.ndarray:
         """Spectral-drawing coordinates of vertices.
@@ -599,10 +698,8 @@ class ServeClient:
         """
         payload: dict = {"key": key, "dim": int(dim)}
         if nodes is not None:
-            payload["nodes"] = np.asarray(nodes).tolist()
-        return np.asarray(
-            self._request("POST", "/query/embedding", payload)["coordinates"]
-        )
+            payload["nodes"] = _pack(as_index_array(nodes, "nodes"), _I8)
+        return self._query("/query/embedding", payload, "coordinates")
 
     def events(self, key: str, events) -> dict:
         """Stream an edge-event batch into a served artifact.

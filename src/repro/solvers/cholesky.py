@@ -151,9 +151,9 @@ class DirectSolver:
     Raises
     ------
     ValueError
-        If the matrix is not square, or it is singular and either
-        ``ground_vertex`` is out of range or the graph has more than
-        one connected component.
+        If the matrix is not square, ``max_update_rank`` is negative,
+        or the matrix is singular and either ``ground_vertex`` is out of
+        range or the graph has more than one connected component.
 
     Notes
     -----
@@ -170,6 +170,8 @@ class DirectSolver:
         max_update_rank: int = 64,
     ) -> None:
         check_square(matrix, "matrix")
+        if max_update_rank < 0:
+            raise ValueError(f"max_update_rank must be >= 0, got {max_update_rank}")
         self.n = matrix.shape[0]
         self.max_update_rank = int(max_update_rank)
         matrix = matrix.tocsc()

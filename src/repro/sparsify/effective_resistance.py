@@ -22,6 +22,7 @@ from repro.graphs.graph import Graph
 from repro.solvers.block import block_solve, pair_indicator_columns
 from repro.solvers.cholesky import DirectSolver
 from repro.utils.rng import as_rng
+from repro.utils.validation import as_index_array
 
 __all__ = [
     "exact_effective_resistances",
@@ -48,10 +49,13 @@ def validate_pairs(num_vertices: int, pairs: np.ndarray) -> np.ndarray:
     Raises
     ------
     ValueError
-        If the shape is not ``(k, 2)`` or any endpoint falls outside
+        If an endpoint is boolean, non-integral or non-finite, the shape
+        is not ``(k, 2)``, or any endpoint falls outside
         ``[0, num_vertices)``.
+    OverflowError
+        If an endpoint lies outside the ``int64`` range.
     """
-    pairs = np.asarray(pairs, dtype=np.int64)
+    pairs = as_index_array(pairs, "pairs")
     if pairs.ndim != 2 or pairs.shape[1] != 2:
         raise ValueError(f"pairs must be a (k, 2) array, got shape {pairs.shape}")
     if pairs.size and (pairs.min() < 0 or pairs.max() >= num_vertices):

@@ -74,6 +74,8 @@ class SparsifierState:
     ) -> None:
         if solver_method not in _SOLVER_METHODS:
             raise ValueError(f"unknown solver method {solver_method!r}")
+        if max_update_rank < 0:
+            raise ValueError(f"max_update_rank must be >= 0, got {max_update_rank}")
         self.graph = graph
         self.tree_indices = np.asarray(tree_indices, dtype=np.int64)
         self.solver_method = solver_method

@@ -316,6 +316,8 @@ class DynamicSparsifier:
             raise ValueError(f"check_every must be >= 1, got {check_every}")
         if solver_method not in _SOLVER_METHODS:
             raise ValueError(f"unknown solver method {solver_method!r}")
+        if max_update_rank < 0:
+            raise ValueError(f"max_update_rank must be >= 0, got {max_update_rank}")
         self.sigma2 = float(sigma2)
         self.tree_method = tree_method
         self.drift_tolerance = float(drift_tolerance)

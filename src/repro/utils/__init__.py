@@ -16,6 +16,8 @@ from repro.utils.rng import (
 )
 from repro.utils.timing import Timer, timed
 from repro.utils.validation import (
+    as_index_array,
+    check_integer,
     check_positive,
     check_probability,
     check_square,
@@ -34,6 +36,8 @@ __all__ = [
     "random_unit_vectors",
     "Timer",
     "timed",
+    "as_index_array",
+    "check_integer",
     "check_positive",
     "check_probability",
     "check_square",

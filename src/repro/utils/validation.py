@@ -11,12 +11,68 @@ import numpy as np
 import scipy.sparse as sp
 
 __all__ = [
+    "as_index_array",
+    "check_integer",
     "check_positive",
     "check_probability",
     "check_square",
     "check_symmetric",
     "check_vertex_count",
 ]
+
+
+def as_index_array(values, name: str) -> np.ndarray:
+    """Coerce integer labels to ``int64`` without changing any of them.
+
+    A plain ``int64`` cast truncates ``1.5`` to ``1``, reads ``True`` as
+    ``1`` and wraps values past the ``int64`` range; each of those raises
+    here instead.  Integral floats (``3.0``) are accepted.
+
+    Raises
+    ------
+    ValueError
+        If an entry is boolean, non-integral, non-finite or not a number.
+    OverflowError
+        If an entry lies outside the ``int64`` range.
+    """
+    if not isinstance(values, np.ndarray):
+        # numpy folds a bool into an integer array ([0, True] -> [0, 1]),
+        # so look at the Python scalars before anything is cast.
+        for item in np.asarray(values, dtype=object).flat:
+            if isinstance(item, (bool, np.bool_)):
+                raise ValueError(f"{name} must be integers, got {item!r}")
+    arr = np.asarray(values)
+    kind = arr.dtype.kind
+    if kind == "f":
+        if not np.isfinite(arr).all():
+            raise ValueError(f"{name} must be finite integers")
+        fractional = arr != np.trunc(arr)
+        if fractional.any():
+            raise ValueError(
+                f"{name} must be integers, got {float(arr[fractional].flat[0])!r}"
+            )
+        if arr.size and np.abs(arr).max() >= 2.0**63:
+            raise OverflowError(f"{name} entry outside the int64 range")
+    elif kind == "u":
+        if arr.size and arr.max() > np.iinfo(np.int64).max:
+            raise OverflowError(f"{name} entry outside the int64 range")
+    elif kind == "O":
+        # numpy keeps Python ints past 64 bits (and non-numbers) as
+        # objects; the cast below raises OverflowError for the former.
+        for item in arr.flat:
+            if not isinstance(item, (int, np.integer)):
+                raise ValueError(f"{name} must be integers, got {item!r}")
+    elif kind != "i":
+        raise ValueError(f"{name} must be integers, got dtype {arr.dtype}")
+    return arr.astype(np.int64, copy=False)
+
+
+def check_integer(value, name: str) -> int:
+    """Require one integral number (see :func:`as_index_array`)."""
+    arr = as_index_array(value, name)
+    if arr.ndim != 0:
+        raise ValueError(f"{name} must be a single integer, got shape {arr.shape}")
+    return int(arr)
 
 
 def check_positive(value: float, name: str) -> float:

@@ -188,6 +188,103 @@ class TestConcurrency:
             assert registry.get(key).dynamic.batches_applied == 2 * iterations
 
 
+class _GatedBuild:
+    """Monkeypatch target: a DynamicSparsifier whose build waits for a gate."""
+
+    def __init__(self):
+        import threading
+
+        self.started = threading.Semaphore(0)
+        self.release = threading.Event()
+        gate = self
+
+        class Gated(DynamicSparsifier):
+            def __init__(self, *args, **kwargs):
+                gate.started.release()
+                assert gate.release.wait(60), "gate never opened"
+                super().__init__(*args, **kwargs)
+
+        self.cls = Gated
+
+
+class TestBuildOutsideLock:
+    def test_query_on_resident_artifact_returns_during_a_build(
+        self, registry, grids, monkeypatch
+    ):
+        """A build holds no registry lock, so get()/engine() on another
+        artifact answer while it runs."""
+        import threading
+
+        import repro.serve.registry as registry_module
+
+        resident = registry.register(grids[0], sigma2=SIGMA2, seed=0)
+        expected = registry.engine(resident).resistance([[0, 63]])
+        gate = _GatedBuild()
+        monkeypatch.setattr(registry_module, "DynamicSparsifier", gate.cls)
+        keys = []
+        builder = threading.Thread(
+            target=lambda: keys.append(
+                registry.register(grids[1], sigma2=SIGMA2, seed=0)
+            )
+        )
+        builder.start()
+        try:
+            assert gate.started.acquire(timeout=30)
+            answers = []
+            query = threading.Thread(
+                target=lambda: answers.append(
+                    registry.engine(resident).resistance([[0, 63]])
+                )
+            )
+            query.start()
+            query.join(timeout=10)
+            assert not query.is_alive(), "query waited for an unrelated build"
+            assert np.array_equal(answers[0], expected)
+        finally:
+            gate.release.set()
+            builder.join(timeout=60)
+        assert not builder.is_alive()
+        assert keys and keys[0] in registry.resident_keys()
+        assert registry.stats.builds == 2
+
+    def test_racing_registrations_of_one_key_leave_one_entry(
+        self, registry, grids, monkeypatch
+    ):
+        import sys
+        import threading
+
+        import repro.serve.registry as registry_module
+
+        gate = _GatedBuild()
+        monkeypatch.setattr(registry_module, "DynamicSparsifier", gate.cls)
+        racers = 4  # more threads than cores
+        keys = []
+        threads = [
+            threading.Thread(target=lambda: keys.append(
+                registry.register(grids[0], sigma2=SIGMA2, seed=0)
+            ))
+            for _ in range(racers)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            # Every build runs before any admits: the race is real.
+            for _ in range(racers):
+                assert gate.started.acquire(timeout=30)
+        finally:
+            gate.release.set()
+            for t in threads:
+                t.join(timeout=60)
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert len(keys) == racers and len(set(keys)) == 1
+        assert registry.keys() == [keys[0]]
+        assert registry.stats.builds == 1
+        assert registry.stats.hits == racers - 1
+
+
 class TestEventsAndIntrospection:
     def test_apply_events_advances_state(self, registry, grids):
         key = registry.register(grids[0], sigma2=SIGMA2, seed=0)

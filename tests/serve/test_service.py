@@ -1,5 +1,6 @@
 """End-to-end tests for the HTTP query service and its client."""
 
+import base64
 import json
 import socket
 import time
@@ -217,11 +218,30 @@ class TestErrors:
             # 81 rows: the grid fixture's vertex count.
             ("/query/solve", {"rhs": [float("inf")] + [0.0] * 80}, "finite"),
             ("/graphs", {"n": 10**30, "u": [0], "v": [1], "w": [1.0]}, None),
+            # A cast would truncate these to valid labels: (0, 1) is even
+            # a grid edge, so similarity used to answer 200.
+            ("/query/resistance", {"pairs": [[0, 1.5]]}, "integers"),
+            ("/query/resistance", {"pairs": [[True, False]]}, "integers"),
+            ("/query/resistance", {"pairs": [[0, float("nan")]]}, "finite"),
+            ("/query/similarity", {"pairs": [[0, 1.5]]}, "integers"),
+            ("/query/similarity", {"pairs": [[True, False]]}, "integers"),
+            ("/query/embedding", {"dim": 2.5}, "dim"),
+            ("/query/embedding", {"dim": True}, "dim"),
+            ("/query/embedding", {"nodes": [0.5]}, "nodes"),
+            ("/query/embedding", {"nodes": [True]}, "nodes"),
+            ("/graphs", {"n": 2.5, "u": [0], "v": [1], "w": [1.0]}, "n"),
+            ("/graphs", {"n": 3, "u": [0, 1.5], "v": [1, 2], "w": [1.0, 1.0]},
+             "u"),
         ],
         ids=[
             "resistance-huge-vertex", "similarity-huge-vertex",
             "embedding-huge-node", "solve-scalar-rhs", "solve-infinite-rhs",
-            "graphs-huge-n",
+            "graphs-huge-n", "resistance-fractional-pair",
+            "resistance-boolean-pair", "resistance-nan-pair",
+            "similarity-fractional-pair", "similarity-boolean-pair",
+            "embedding-fractional-dim", "embedding-boolean-dim",
+            "embedding-fractional-node", "embedding-boolean-node",
+            "graphs-fractional-n", "graphs-fractional-u",
         ],
     )
     def test_malformed_query_is_400(self, client, grid, path, payload, reason):
@@ -233,6 +253,14 @@ class TestErrors:
         assert excinfo.value.status == 400
         if reason is not None:
             assert reason in str(excinfo.value)
+
+    def test_negative_max_update_rank_is_400(self, client, grid):
+        """A negative Woodbury budget would turn every update into a
+        re-factorization; it is refused at registration."""
+        with pytest.raises(ServiceError) as excinfo:
+            client.register(grid, sigma2=SIGMA2, max_update_rank=-1)
+        assert excinfo.value.status == 400
+        assert "max_update_rank" in str(excinfo.value)
 
     def test_removed_kernel_backend_param_is_400(self, client, grid):
         with pytest.raises(ServiceError) as excinfo:
@@ -331,3 +359,126 @@ def _raw_post(service, length: str, body: bytes = b"") -> tuple[int, bytes]:
             reply += chunk
     head, _, payload = reply.partition(b"\r\n\r\n")
     return int(head.split(b"\r\n", 1)[0].split()[1]), payload
+
+
+def _packed(array, dtype: str) -> dict:
+    """The documented packed wire form, built independently of the service."""
+    data = np.asarray(array, dtype=dtype)
+    return {"dtype": dtype, "shape": list(data.shape),
+            "data": base64.b64encode(data.tobytes()).decode("ascii")}
+
+
+def _unpacked(value) -> np.ndarray:
+    assert set(value) == {"dtype", "shape", "data"}
+    assert value["dtype"] == "<f8"
+    raw = base64.b64decode(value["data"], validate=True)
+    return np.frombuffer(raw, dtype="<f8").reshape(value["shape"])
+
+
+class TestPackedArrays:
+    """The packed base64 array form next to plain JSON lists."""
+
+    @pytest.mark.parametrize(
+        "path, field, dtype, result, make",
+        [
+            ("/query/resistance", "pairs", "<i8", "values",
+             lambda g, rng: rng.integers(0, g.n, size=(6, 2))),
+            ("/query/similarity", "pairs", "<i8", "values",
+             lambda g, rng: np.column_stack([g.u[:6], g.v[:6]])),
+            ("/query/solve", "rhs", "<f8", "x",
+             lambda g, rng: rng.standard_normal(g.n)),
+            ("/query/solve", "rhs", "<f8", "x",
+             lambda g, rng: rng.standard_normal((g.n, 3))),
+            ("/query/embedding", "nodes", "<i8", "coordinates",
+             lambda g, rng: np.array([4, 0, 17])),
+        ],
+        ids=["resistance-pairs", "similarity-pairs", "solve-1d-rhs",
+             "solve-2d-rhs", "embedding-nodes"],
+    )
+    def test_packed_and_list_answers_are_identical(
+        self, client, grid, path, field, dtype, result, make
+    ):
+        key = client.register(grid, sigma2=SIGMA2, seed=0)
+        array = make(grid, np.random.default_rng(3))
+        listed = client._request("POST", path, {"key": key, field: array.tolist()})
+        packed = client._request(
+            "POST", path, {"key": key, field: _packed(array, dtype)}
+        )
+        # Packed in, packed out; lists in, lists out.
+        assert isinstance(listed[result], list)
+        assert np.array_equal(_unpacked(packed[result]), np.asarray(listed[result]))
+
+    def test_client_solve_is_bit_identical_to_engine(self, service, client, grid):
+        key = client.register(grid, sigma2=SIGMA2, seed=0)
+        engine = service.registry.engine(key)
+        rng = np.random.default_rng(5)
+        for rhs in (rng.standard_normal(grid.n), rng.standard_normal((grid.n, 2))):
+            x = client.solve(key, rhs)
+            assert x.dtype == np.float64 and x.flags.writeable
+            assert np.array_equal(x, engine.solve(rhs))
+        pairs = rng.integers(0, grid.n, size=(5, 2))
+        assert np.array_equal(client.resistance(key, pairs), engine.resistance(pairs))
+
+    def test_packed_registration_matches_list_key(self, client, grid):
+        listed = client._request("POST", "/graphs", {
+            "n": grid.n, "u": grid.u.tolist(), "v": grid.v.tolist(),
+            "w": grid.w.tolist(), "sigma2": SIGMA2, "seed": 0,
+        })
+        assert client.register(grid, sigma2=SIGMA2, seed=0) == listed["key"]
+
+    def test_embedding_without_nodes_answers_in_lists(self, client, grid):
+        key = client.register(grid, sigma2=SIGMA2, seed=0)
+        reply = client._request("POST", "/query/embedding", {"key": key})
+        assert isinstance(reply["coordinates"], list)
+        assert client.embedding(key).shape == (grid.n, 2)
+
+    @pytest.mark.parametrize(
+        "path, field, value, reason",
+        [
+            ("/query/solve", "rhs",
+             {"dtype": "<f8", "shape": [81], "data": "!" * 648}, "base64"),
+            ("/query/solve", "rhs", _packed(np.zeros(81), "<i8"), "dtype"),
+            ("/query/solve", "rhs", _packed(np.zeros(81), ">f8"), "dtype"),
+            ("/query/solve", "rhs",
+             {**_packed(np.zeros(81), "<f8"), "shape": [82]}, "shape"),
+            ("/query/resistance", "pairs",
+             {**_packed(np.zeros((1, 2)), "<i8"), "shape": [-1, -2]},
+             "non-negative"),
+            ("/query/resistance", "pairs",
+             {**_packed(np.zeros((1, 2)), "<i8"), "shape": [2**40, 2**40]},
+             "shape"),
+            ("/query/solve", "rhs",
+             _packed([float("nan")] + [0.0] * 80, "<f8"), "finite"),
+            ("/query/embedding", "nodes",
+             {**_packed([0], "<i8"), "extra": 1}, "keys"),
+        ],
+        ids=["bad-base64", "dtype-int-for-float", "dtype-big-endian",
+             "length-not-shape", "negative-dimensions", "huge-shape",
+             "non-finite-rhs", "extra-key"],
+    )
+    def test_malformed_packed_array_is_400_counted_once(
+        self, client, grid, path, field, value, reason
+    ):
+        key = client.register(grid, sigma2=SIGMA2, seed=0)
+        before = _http_errors()
+        with pytest.raises(ServiceError) as excinfo:
+            client._request("POST", path, {"key": key, field: value})
+        assert excinfo.value.status == 400
+        assert reason in str(excinfo.value)
+        after = _http_errors()
+        bumped = {k: after[k] - before.get(k, 0.0)
+                  for k in after if after[k] != before.get(k, 0.0)}
+        assert bumped == {(path, "400"): 1.0}
+
+    def test_huge_declared_shape_with_short_body_is_400_fast(self, service):
+        """The declared shape never sizes an allocation or a read."""
+        body = json.dumps({
+            "n": 3,
+            "u": {"dtype": "<i8", "shape": [2**40, 2**40], "data": "AAAAAAAAAAA="},
+            "v": [1, 2], "w": [1.0, 1.0],
+        }).encode("ascii")
+        start = time.perf_counter()
+        status, reply = _raw_post(service, str(len(body)), body)
+        assert time.perf_counter() - start < 5.0
+        assert status == 400
+        assert b"packed u" in reply

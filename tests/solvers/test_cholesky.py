@@ -109,6 +109,11 @@ class TestInterface:
         with pytest.raises(ValueError, match="square"):
             DirectSolver(sp.csr_matrix((2, 3)))
 
+    def test_negative_update_rank_rejected(self, grid_small):
+        """A negative budget would refuse every Woodbury update."""
+        with pytest.raises(ValueError, match="max_update_rank"):
+            DirectSolver(grid_small.laplacian().tocsc(), max_update_rank=-1)
+
 
 class TestSymmetricOrdering:
     def test_scale_free_sparsifier_fill(self):

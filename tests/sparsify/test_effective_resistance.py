@@ -7,6 +7,7 @@ from repro.graphs import generators
 from repro.sparsify import (
     approx_effective_resistances,
     exact_effective_resistances,
+    validate_pairs,
 )
 
 
@@ -60,6 +61,26 @@ class TestPairValidation:
     def test_malformed_shape_raises(self, grid_weighted):
         with pytest.raises(ValueError, match=r"\(k, 2\)"):
             exact_effective_resistances(grid_weighted, np.array([0, 1, 2]))
+
+    @pytest.mark.parametrize(
+        "pairs",
+        [[[0, 1.5]], [[True, False]], [[0, True]], [[0, float("nan")]],
+         [[0, None]], [["0", "1"]], np.array([[0.5, 1.0]])],
+        ids=["fractional", "booleans", "mixed-boolean", "nan", "none",
+             "strings", "fractional-array"],
+    )
+    def test_non_integer_endpoints_raise_instead_of_casting(self, pairs):
+        with pytest.raises(ValueError, match="pairs"):
+            validate_pairs(10, pairs)
+
+    def test_integral_floats_are_labels(self):
+        pairs = validate_pairs(10, [[0, 3.0]])
+        assert pairs.dtype == np.int64
+        assert pairs.tolist() == [[0, 3]]
+
+    def test_endpoint_past_int64_overflows(self):
+        with pytest.raises(OverflowError):
+            validate_pairs(10, [[0, 2**63]])
 
     def test_self_pairs_short_circuit_to_zero(self, grid_weighted):
         pairs = np.array([[5, 5], [0, 1], [9, 9]])

@@ -166,6 +166,11 @@ class TestSolverManagement:
         with pytest.raises(ValueError, match="solver method"):
             SparsifierState(g, tree, solver_method="qr")
 
+    def test_negative_update_rank_rejected(self, grid_with_tree):
+        g, tree = grid_with_tree
+        with pytest.raises(ValueError, match="max_update_rank"):
+            SparsifierState(g, tree, max_update_rank=-1)
+
 
 class TestValidation:
     def test_wrong_mask_shape(self, grid_with_tree):

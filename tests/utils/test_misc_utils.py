@@ -8,6 +8,8 @@ import scipy.sparse as sp
 
 from repro.utils import (
     Timer,
+    as_index_array,
+    check_integer,
     check_positive,
     check_probability,
     check_square,
@@ -83,6 +85,31 @@ class TestValidation:
             check_vertex_count(0)
         with pytest.raises(ValueError):
             check_vertex_count(2.5)
+
+    def test_as_index_array_keeps_integers(self):
+        out = as_index_array([[0, 3.0], [2, 7]], "labels")
+        assert out.dtype == np.int64 and out.tolist() == [[0, 3], [2, 7]]
+        arr = np.arange(4, dtype=np.int64)
+        assert as_index_array(arr, "labels") is arr
+
+    @pytest.mark.parametrize(
+        "bad", [[0, 1.5], [True], [0, True], [float("inf")], [None], ["1"]],
+    )
+    def test_as_index_array_refuses_a_changing_cast(self, bad):
+        with pytest.raises(ValueError, match="labels"):
+            as_index_array(bad, "labels")
+
+    @pytest.mark.parametrize("bad", [[10**30], [2**63], [1e30]])
+    def test_as_index_array_refuses_past_int64(self, bad):
+        with pytest.raises(OverflowError):
+            as_index_array(bad, "labels")
+
+    def test_check_integer(self):
+        assert check_integer(3, "dim") == 3
+        assert check_integer(3.0, "dim") == 3
+        for bad in (2.5, True, [1, 2], "3"):
+            with pytest.raises(ValueError, match="dim"):
+                check_integer(bad, "dim")
 
     def test_check_square(self):
         check_square(np.eye(3))
