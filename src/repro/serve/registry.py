@@ -31,8 +31,11 @@ set:
 Concurrency model (the HTTP service runs one handler thread per
 connection): the registry lock guards the entry map and residency
 bookkeeping, but a sparsifier is built outside it and only admitted
-under it, so a registration never stalls queries on other artifacts;
-each entry carries one *persistent* reentrant lock — shared with its
+under it, so a registration never stalls queries on other artifacts.
+Registrations of one key share a single build (later ones wait for it);
+builds of distinct keys run concurrently, one per registering thread,
+and ``max_resident`` counts only admitted artifacts, not builds in
+flight.  Each entry carries one *persistent* reentrant lock — shared with its
 :class:`~repro.serve.QueryEngine` across spill/reload cycles — that
 serializes queries, event application and spilling of that artifact.
 Lock order is always registry → entry, and eviction only *try*-acquires
@@ -204,6 +207,8 @@ class SparsifierRegistry:
     max_resident:
         Maximum number of live artifacts held in memory; the rest live
         as npz+json checkpoints in ``spool_dir`` and reload on access.
+        Builds in flight do not count: concurrent registrations of
+        distinct keys each build at once, outside this cap.
 
     Examples
     --------
@@ -227,6 +232,8 @@ class SparsifierRegistry:
         self.max_resident = int(max_resident)
         self.stats = RegistryStats()
         self._entries: "OrderedDict[str, RegistryEntry]" = OrderedDict()
+        # Keys being built, each with the event its waiters block on.
+        self._building: dict[str, threading.Event] = {}
         self._lock = threading.RLock()
 
     # ------------------------------------------------------------------
@@ -272,13 +279,9 @@ class SparsifierRegistry:
             **options,
         }
         key = artifact_key(graph_fingerprint(graph), params)
-        with self._lock:
-            if self._hit_locked(key):
-                return key
-        dyn = DynamicSparsifier(
+        self._build_once(key, params, lambda: DynamicSparsifier(
             graph, sigma2=sigma2, seed=seed, tree_method=tree_method, **options
-        )
-        self._admit_built(key, params, dyn)
+        ))
         return key
 
     def register_result(
@@ -314,11 +317,9 @@ class SparsifierRegistry:
             **{k: v for k, v in options.items() if k != "sigma2"},
         }
         key = artifact_key(graph_fingerprint(result.graph), params)
-        with self._lock:
-            if self._hit_locked(key):
-                return key
-        dyn = DynamicSparsifier.from_result(result, seed=seed, **options)
-        self._admit_built(key, params, dyn)
+        self._build_once(key, params, lambda: DynamicSparsifier.from_result(
+            result, seed=seed, **options
+        ))
         return key
 
     def _hit_locked(self, key: str) -> bool:
@@ -330,19 +331,33 @@ class SparsifierRegistry:
         _count_registry_event("hit")
         return True
 
-    def _admit_built(self, key: str, params: dict, dyn: DynamicSparsifier) -> None:
-        """Admit a sparsifier built outside the registry lock.
+    def _build_once(self, key: str, params: dict, build) -> None:
+        """Build ``key`` outside the registry lock unless present, then admit.
 
         Builds run unlocked so queries on other artifacts never wait for
-        one; when two registrations of one key race, the first to get
-        here is admitted and the other build is dropped as a hit.
+        one.  A registration of a key that is already being built waits
+        for that build and counts a hit; if the build fails, the next
+        waiter builds in its place.
         """
-        with self._lock:
-            if self._hit_locked(key):
-                return
-            self.stats.builds += 1
-            _count_registry_event("build")
-            self._admit_locked(RegistryEntry(key, params, dyn))
+        while True:
+            with self._lock:
+                if self._hit_locked(key):
+                    return
+                pending = self._building.get(key)
+                if pending is None:
+                    pending = self._building[key] = threading.Event()
+                    break
+            pending.wait()
+        try:
+            dyn = build()
+            with self._lock:
+                self.stats.builds += 1
+                _count_registry_event("build")
+                self._admit_locked(RegistryEntry(key, params, dyn))
+        finally:
+            with self._lock:
+                del self._building[key]
+            pending.set()
 
     def _admit_locked(self, entry: RegistryEntry) -> None:
         self._entries[entry.key] = entry

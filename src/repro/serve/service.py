@@ -42,9 +42,10 @@ An array field is either a plain (nested) JSON list or the packed form
 ``data`` is the base64 of the array's little-endian bytes in C order.
 The packed form skips float formatting and parsing, which costs far
 more than a solve.  Its ``dtype`` must be the field's; a bad base64
-string, a negative dimension or a byte count that does not match
-``shape`` is a ``400``, and the length check runs before decoding, so
-no allocation is ever sized by the declared shape.  Responses answer
+string, a ``shape`` of more than two entries or with a negative one,
+or a byte count that does not match ``shape`` is a ``400``; the length
+check runs before decoding, so no allocation is ever sized by the
+declared shape.  Responses answer
 in kind: a query whose array field came packed gets its ``values``,
 ``x`` or ``coordinates`` packed, any other gets lists (so an embedding
 request without ``nodes`` gets lists).  :class:`ServeClient` packs
@@ -87,7 +88,7 @@ from repro.obs import enable_metrics, get_metrics, get_tracer
 from repro.obs.alerts import default_serving_rules, evaluate_rules
 from repro.serve.registry import SparsifierRegistry
 from repro.stream.events import EdgeDelete, EdgeEvent, EdgeInsert, WeightUpdate
-from repro.utils.validation import as_index_array, check_integer
+from repro.utils.validation import as_index_array, check_vertex_count
 
 __all__ = ["MAX_BODY_BYTES", "ServeClient", "ServiceError", "SparsifierService"]
 
@@ -131,7 +132,9 @@ def _unpack(value, dtype: str, name: str) -> np.ndarray:
 
     Returns a writable native-endian array.  Every check on the packed
     form runs before its ``data`` is decoded, so a huge declared
-    ``shape`` costs nothing.
+    ``shape`` costs no allocation; every array field is 1-D or 2-D, and
+    refusing a longer ``shape`` first keeps its product O(1) (the
+    product of a long list of big integers is quadratic in its length).
     """
     if not isinstance(value, dict):
         if dtype == _I8:
@@ -146,20 +149,21 @@ def _unpack(value, dtype: str, name: str) -> np.ndarray:
             f"packed {name} must have dtype {dtype!r}, got {value['dtype']!r}"
         )
     shape, data = value["shape"], value["data"]
-    if not isinstance(shape, list) or not all(
+    if not isinstance(shape, list) or len(shape) > 2 or not all(
         type(dim) is int and dim >= 0 for dim in shape
     ):
         raise ValueError(
-            f"packed {name} shape must be a list of non-negative integers, "
-            f"got {shape!r}"
+            f"packed {name} shape must be a list of at most two "
+            "non-negative integers"
         )
     if not isinstance(data, str):
         raise ValueError(f"packed {name} data must be a base64 string")
     nbytes = math.prod(shape) * 8
     if len(data) != 4 * -(-nbytes // 3):
+        # The declared sizes may run to thousands of digits: echo none.
         raise ValueError(
-            f"packed {name} has {len(data)} base64 characters; shape "
-            f"{shape} needs {4 * -(-nbytes // 3)}"
+            f"packed {name} has {len(data)} base64 characters, which "
+            "does not match its shape"
         )
     try:
         raw = base64.b64decode(data, validate=True)
@@ -288,7 +292,11 @@ class _Handler(BaseHTTPRequestHandler):
         raw = self.rfile.read(length)
         try:
             payload = json.loads(raw) if raw else {}
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:
+            # Besides JSONDecodeError (a ValueError): an integer literal
+            # past Python's 4300-digit limit, or nesting past the
+            # recursion limit — either would otherwise drop the
+            # connection without an answer.
             self._send(400, {"error": f"request body is not JSON: {exc}"})
             return
         try:
@@ -457,7 +465,7 @@ class SparsifierService:
 
     def _post_graphs(self, payload: dict) -> dict:
         graph = Graph(
-            check_integer(self._required(payload, "n"), "n"),
+            self._required(payload, "n"),
             _unpack(self._required(payload, "u"), _I8, "u"),
             _unpack(self._required(payload, "v"), _I8, "v"),
             _unpack(self._required(payload, "w"), _F8, "w"),
@@ -500,7 +508,7 @@ class SparsifierService:
         nodes = payload.get("nodes")
         coords = engine.embedding(
             None if nodes is None else _unpack(nodes, _I8, "nodes"),
-            dim=check_integer(payload.get("dim", 2), "dim"),
+            dim=check_vertex_count(payload.get("dim", 2), name="dim"),
         )
         return {"coordinates": _reply(coords, nodes)}
 

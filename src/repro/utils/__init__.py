@@ -17,7 +17,6 @@ from repro.utils.rng import (
 from repro.utils.timing import Timer, timed
 from repro.utils.validation import (
     as_index_array,
-    check_integer,
     check_positive,
     check_probability,
     check_square,
@@ -37,7 +36,6 @@ __all__ = [
     "Timer",
     "timed",
     "as_index_array",
-    "check_integer",
     "check_positive",
     "check_probability",
     "check_square",

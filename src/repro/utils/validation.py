@@ -12,7 +12,6 @@ import scipy.sparse as sp
 
 __all__ = [
     "as_index_array",
-    "check_integer",
     "check_positive",
     "check_probability",
     "check_square",
@@ -67,14 +66,6 @@ def as_index_array(values, name: str) -> np.ndarray:
     return arr.astype(np.int64, copy=False)
 
 
-def check_integer(value, name: str) -> int:
-    """Require one integral number (see :func:`as_index_array`)."""
-    arr = as_index_array(value, name)
-    if arr.ndim != 0:
-        raise ValueError(f"{name} must be a single integer, got shape {arr.shape}")
-    return int(arr)
-
-
 def check_positive(value: float, name: str) -> float:
     """Require ``value > 0``; return it for chaining."""
     if not np.isfinite(value) or value <= 0:
@@ -89,10 +80,10 @@ def check_probability(value: float, name: str) -> float:
     return value
 
 
-def check_vertex_count(n: int, minimum: int = 1) -> int:
-    """Require an integral vertex count of at least ``minimum``."""
-    if int(n) != n or n < minimum:
-        raise ValueError(f"vertex count must be an integer >= {minimum}, got {n!r}")
+def check_vertex_count(n: int, minimum: int = 1, name: str = "vertex count") -> int:
+    """Require an integral count of at least ``minimum`` (not a boolean)."""
+    if isinstance(n, (bool, np.bool_)) or int(n) != n or n < minimum:
+        raise ValueError(f"{name} must be an integer >= {minimum}, got {n!r}")
     return int(n)
 
 

@@ -247,11 +247,12 @@ class TestBuildOutsideLock:
         assert keys and keys[0] in registry.resident_keys()
         assert registry.stats.builds == 2
 
-    def test_racing_registrations_of_one_key_leave_one_entry(
+    def test_racing_registrations_of_one_key_share_one_build(
         self, registry, grids, monkeypatch
     ):
         import sys
         import threading
+        import time
 
         import repro.serve.registry as registry_module
 
@@ -270,9 +271,15 @@ class TestBuildOutsideLock:
         try:
             for t in threads:
                 t.start()
-            # Every build runs before any admits: the race is real.
-            for _ in range(racers):
-                assert gate.started.acquire(timeout=30)
+            assert gate.started.acquire(timeout=30)
+            # The other registrations wait for that build, not start their own.
+            deadline = time.monotonic() + 30
+            while len(registry._building) != 1 or sum(
+                t.is_alive() for t in threads
+            ) != racers:
+                assert time.monotonic() < deadline
+                time.sleep(0.01)
+            assert not gate.started.acquire(timeout=0.5)
         finally:
             gate.release.set()
             for t in threads:
@@ -283,6 +290,51 @@ class TestBuildOutsideLock:
         assert registry.keys() == [keys[0]]
         assert registry.stats.builds == 1
         assert registry.stats.hits == racers - 1
+        assert not gate.started.acquire(blocking=False)
+        assert registry._building == {}
+
+    def test_a_failed_build_lets_a_waiting_registration_build(
+        self, registry, grids, monkeypatch
+    ):
+        import threading
+
+        import repro.serve.registry as registry_module
+
+        started, release, calls = threading.Event(), threading.Event(), []
+
+        class FailFirst(DynamicSparsifier):
+            def __init__(self, *args, **kwargs):
+                calls.append(release.is_set())
+                if len(calls) == 1:
+                    started.set()
+                    assert release.wait(60), "gate never opened"
+                    raise RuntimeError("first build fails")
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(registry_module, "DynamicSparsifier", FailFirst)
+        outcomes = []
+
+        def register():
+            try:
+                outcomes.append(registry.register(grids[0], sigma2=SIGMA2, seed=0))
+            except RuntimeError as exc:
+                outcomes.append(exc)
+
+        threads = [threading.Thread(target=register) for _ in range(2)]
+        threads[0].start()
+        assert started.wait(30)
+        threads[1].start()  # finds the key in flight and waits for it
+        threads[1].join(timeout=0.2)
+        release.set()
+        for t in threads:
+            t.join(timeout=60)
+        assert not any(t.is_alive() for t in threads)
+        assert calls == [False, True]  # the second build began after the first failed
+        outcomes.sort(key=lambda o: isinstance(o, str))
+        assert [type(o) for o in outcomes] == [RuntimeError, str]
+        assert registry.keys() == [outcomes[1]]
+        assert registry.stats.builds == 1
+        assert registry._building == {}
 
 
 class TestEventsAndIntrospection:

@@ -451,10 +451,13 @@ class TestPackedArrays:
              _packed([float("nan")] + [0.0] * 80, "<f8"), "finite"),
             ("/query/embedding", "nodes",
              {**_packed([0], "<i8"), "extra": 1}, "keys"),
+            ("/query/solve", "rhs",
+             {**_packed(np.zeros(81), "<f8"), "shape": [81, 1, 1]},
+             "at most two"),
         ],
         ids=["bad-base64", "dtype-int-for-float", "dtype-big-endian",
              "length-not-shape", "negative-dimensions", "huge-shape",
-             "non-finite-rhs", "extra-key"],
+             "non-finite-rhs", "extra-key", "three-dimensions"],
     )
     def test_malformed_packed_array_is_400_counted_once(
         self, client, grid, path, field, value, reason
@@ -470,11 +473,18 @@ class TestPackedArrays:
                   for k in after if after[k] != before.get(k, 0.0)}
         assert bumped == {(path, "400"): 1.0}
 
-    def test_huge_declared_shape_with_short_body_is_400_fast(self, service):
-        """The declared shape never sizes an allocation or a read."""
+    @pytest.mark.parametrize(
+        "shape", [[2**40, 2**40], [2] * 10**6], ids=["huge", "long"]
+    )
+    def test_huge_declared_shape_with_short_body_is_400_fast(
+        self, service, shape
+    ):
+        """The declared shape never sizes an allocation or a read, and a
+        long one (a 3-MB body) is refused before its product is taken:
+        that product alone would take tens of seconds."""
         body = json.dumps({
             "n": 3,
-            "u": {"dtype": "<i8", "shape": [2**40, 2**40], "data": "AAAAAAAAAAA="},
+            "u": {"dtype": "<i8", "shape": shape, "data": "AAAAAAAAAAA="},
             "v": [1, 2], "w": [1.0, 1.0],
         }).encode("ascii")
         start = time.perf_counter()
@@ -482,3 +492,16 @@ class TestPackedArrays:
         assert time.perf_counter() - start < 5.0
         assert status == 400
         assert b"packed u" in reply
+        assert len(reply) < 200  # the shape is not echoed back
+
+    @pytest.mark.parametrize(
+        "body",
+        [b'{"n": ' + b"1" * 5000 + b"}", b"[" * 100000 + b"]" * 100000],
+        ids=["integer-past-digit-limit", "nesting-past-recursion-limit"],
+    )
+    def test_json_the_parser_refuses_is_400(self, service, body):
+        """json.loads raises ValueError/RecursionError, not
+        JSONDecodeError, on these; both get an answer."""
+        status, reply = _raw_post(service, str(len(body)), body)
+        assert status == 400
+        assert b"not JSON" in reply

@@ -9,7 +9,6 @@ import scipy.sparse as sp
 from repro.utils import (
     Timer,
     as_index_array,
-    check_integer,
     check_positive,
     check_probability,
     check_square,
@@ -86,6 +85,12 @@ class TestValidation:
         with pytest.raises(ValueError):
             check_vertex_count(2.5)
 
+    def test_check_vertex_count_refuses_booleans_and_names_the_field(self):
+        assert check_vertex_count(3.0, name="dim") == 3
+        for bad in (True, np.True_, "3"):
+            with pytest.raises(ValueError, match="dim"):
+                check_vertex_count(bad, name="dim")
+
     def test_as_index_array_keeps_integers(self):
         out = as_index_array([[0, 3.0], [2, 7]], "labels")
         assert out.dtype == np.int64 and out.tolist() == [[0, 3], [2, 7]]
@@ -103,13 +108,6 @@ class TestValidation:
     def test_as_index_array_refuses_past_int64(self, bad):
         with pytest.raises(OverflowError):
             as_index_array(bad, "labels")
-
-    def test_check_integer(self):
-        assert check_integer(3, "dim") == 3
-        assert check_integer(3.0, "dim") == 3
-        for bad in (2.5, True, [1, 2], "3"):
-            with pytest.raises(ValueError, match="dim"):
-                check_integer(bad, "dim")
 
     def test_check_square(self):
         check_square(np.eye(3))
