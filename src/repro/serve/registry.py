@@ -35,14 +35,14 @@ under it, so a registration never stalls queries on other artifacts.
 Registrations of one key share a single build (later ones wait for it);
 builds of distinct keys run concurrently, one per registering thread,
 and ``max_resident`` counts only admitted artifacts, not builds in
-flight.  Each entry carries one *persistent* reentrant lock — shared with its
-:class:`~repro.serve.QueryEngine` across spill/reload cycles — that
-serializes queries, event application and spilling of that artifact.
-Lock order is always registry → entry, and eviction only *try*-acquires
-entry locks: an artifact mid-request is skipped in favor of the next
-LRU candidate (temporarily exceeding ``max_resident`` when every
-candidate is busy) rather than risking a deadlock or checkpointing a
-half-applied batch.
+flight.  Each entry carries one *persistent* reentrant lock — shared
+with its :class:`~repro.serve.QueryEngine` across spill/reload cycles —
+that serializes queries, event application and spilling of that
+artifact.  Lock order is always registry → entry, and eviction only
+*try*-acquires entry locks: an artifact mid-request is skipped in favor
+of the next LRU candidate (temporarily exceeding ``max_resident`` when
+every candidate is busy) rather than risking a deadlock or
+checkpointing a half-applied batch.
 """
 
 from __future__ import annotations

@@ -45,10 +45,10 @@ more than a solve.  Its ``dtype`` must be the field's; a bad base64
 string, a ``shape`` of more than two entries or with a negative one,
 or a byte count that does not match ``shape`` is a ``400``; the length
 check runs before decoding, so no allocation is ever sized by the
-declared shape.  Responses answer
-in kind: a query whose array field came packed gets its ``values``,
-``x`` or ``coordinates`` packed, any other gets lists (so an embedding
-request without ``nodes`` gets lists).  :class:`ServeClient` packs
+declared shape.  Responses answer in kind: a query whose array field
+came packed gets its ``values``, ``x`` or ``coordinates`` packed, any
+other gets lists (so an embedding request without ``nodes`` gets
+lists).  :class:`ServeClient` packs
 everything it sends.  Integer fields, in either form, refuse boolean,
 non-integral and non-finite entries rather than casting them.
 
