@@ -48,14 +48,15 @@ check runs before decoding, so no allocation is ever sized by the
 declared shape.  Responses answer in kind: a query whose array field
 came packed gets its ``values``, ``x`` or ``coordinates`` packed, any
 other gets lists (so an embedding request without ``nodes`` gets
-lists).  :class:`ServeClient` packs
-everything it sends.  Integer fields, in either form, refuse boolean,
-non-integral and non-finite entries rather than casting them.
+lists).  :class:`ServeClient` packs everything it sends.  Integer
+fields, in either form, refuse boolean, non-integral and non-finite
+entries rather than casting them.
 
-Event records use the same shape as the JSONL event-log format
-(:mod:`repro.stream.events`): ``{"type": "insert"|"delete"|"update",
-"u": int, "v": int, "w": float}`` (``w`` absent on deletes), so a
-captured log line can be POSTed verbatim.
+Event records use the same shape as the JSONL event-log format, and
+the same parser (:func:`repro.stream.events.event_from_record`):
+``{"type": "insert"|"delete"|"update", "u": int, "v": int, "w": float}``
+(``w`` absent on deletes), so a captured log line can be POSTed
+verbatim.
 
 Error mapping: malformed JSON or a :class:`ValueError`,
 :class:`TypeError` or :class:`OverflowError` from the layers below →
@@ -87,7 +88,7 @@ from repro.graphs.graph import Graph
 from repro.obs import enable_metrics, get_metrics, get_tracer
 from repro.obs.alerts import default_serving_rules, evaluate_rules
 from repro.serve.registry import SparsifierRegistry
-from repro.stream.events import EdgeDelete, EdgeEvent, EdgeInsert, WeightUpdate
+from repro.stream.events import event_from_record, event_to_record
 from repro.utils.validation import as_index_array, check_vertex_count
 
 __all__ = ["MAX_BODY_BYTES", "ServeClient", "ServiceError", "SparsifierService"]
@@ -97,9 +98,6 @@ _LOG = logging.getLogger(__name__)
 #: Largest request body the service reads (64 MiB); a longer declared
 #: ``Content-Length`` gets a 413 before any of the body is read.
 MAX_BODY_BYTES = 64 * 1024 * 1024
-
-_EVENT_TYPES = {"insert": EdgeInsert, "delete": EdgeDelete, "update": WeightUpdate}
-_EVENT_NAMES = {cls: name for name, cls in _EVENT_TYPES.items()}
 
 #: Known routes — the label space of the per-endpoint latency histogram
 #: and error counter (unknown paths pool under ``"other"`` so labels
@@ -180,30 +178,6 @@ def _unpack(value, dtype: str, name: str) -> np.ndarray:
 def _reply(array: np.ndarray, sent) -> dict | list:
     """A float result in the form its request's array came in."""
     return _pack(array, _F8) if isinstance(sent, dict) else array.tolist()
-
-
-def _event_from_record(record: dict) -> EdgeEvent:
-    """One JSON record → one validated edge event."""
-    if not isinstance(record, dict):
-        raise ValueError(f"event record must be an object, got {record!r}")
-    kind = record.get("type")
-    cls = _EVENT_TYPES.get(kind)
-    if cls is None:
-        raise ValueError(f"unknown event type {kind!r}")
-    try:
-        if cls is EdgeDelete:
-            return EdgeDelete(int(record["u"]), int(record["v"]))
-        return cls(int(record["u"]), int(record["v"]), float(record["w"]))
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"malformed {kind} event record: {exc}") from exc
-
-
-def _event_to_record(event: EdgeEvent) -> dict:
-    """One edge event → its JSON record (the JSONL log shape)."""
-    record = {"type": _EVENT_NAMES[type(event)], "u": int(event.u), "v": int(event.v)}
-    if not isinstance(event, EdgeDelete):
-        record["w"] = float(event.w)
-    return record
 
 
 class _Handler(BaseHTTPRequestHandler):
@@ -515,7 +489,7 @@ class SparsifierService:
     def _post_events(self, payload: dict) -> dict:
         key = self._required(payload, "key")
         records = self._required(payload, "events")
-        events = [_event_from_record(r) for r in records]
+        events = [event_from_record(r) for r in records]
         report = self._registry.apply_events(key, events)
         return {
             "batch": report.batch,
@@ -726,7 +700,7 @@ class ServeClient:
             The batch report (counts, repairs, σ² estimate).
         """
         records = [
-            e if isinstance(e, dict) else _event_to_record(e) for e in events
+            e if isinstance(e, dict) else event_to_record(e) for e in events
         ]
         return self._request("POST", "/events", {"key": key, "events": records})
 

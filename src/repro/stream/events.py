@@ -42,6 +42,7 @@ import scipy.sparse.csgraph as csgraph
 
 from repro.graphs.graph import Graph
 from repro.utils.rng import as_rng
+from repro.utils.validation import check_vertex_count
 
 __all__ = [
     "EdgeInsert",
@@ -50,6 +51,8 @@ __all__ = [
     "EdgeEvent",
     "coalesce",
     "apply_events",
+    "event_from_record",
+    "event_to_record",
     "read_event_log",
     "write_event_log",
     "random_event_stream",
@@ -287,6 +290,74 @@ _TYPE_TO_NAME = {EdgeInsert: "insert", EdgeDelete: "delete", WeightUpdate: "upda
 _NAME_TO_TYPE = {name: t for t, name in _TYPE_TO_NAME.items()}
 
 
+def event_to_record(event: EdgeEvent) -> dict:
+    """One event → its JSON record.
+
+    Parameters
+    ----------
+    event:
+        The event to serialize.
+
+    Returns
+    -------
+    dict
+        ``{"type": "insert"|"delete"|"update", "u", "v", "w"}`` with
+        ``w`` absent on deletes: the record shape of JSONL event logs
+        and of ``POST /events``.
+    """
+    record: dict = {
+        "type": _TYPE_TO_NAME[type(event)],
+        "u": int(event.u),
+        "v": int(event.v),
+    }
+    if not isinstance(event, EdgeDelete):
+        record["w"] = float(event.w)
+    return record
+
+
+def event_from_record(record) -> EdgeEvent:
+    """One JSON record (see :func:`event_to_record`) → a validated event.
+
+    Endpoints are checked, not cast: a cast would move the edge
+    (``0.5`` → ``0``, ``true`` → ``1``, ``"7"`` → ``7``).
+
+    Parameters
+    ----------
+    record:
+        A parsed JSON value, expected to be a record object.
+
+    Returns
+    -------
+    EdgeEvent
+        The event the record describes.
+
+    Raises
+    ------
+    ValueError
+        If the record is not an object, names an unknown type, lacks a
+        field, has an endpoint that is not a non-negative integer, or
+        has an invalid weight.
+    """
+    if not isinstance(record, dict):
+        raise ValueError(
+            f"event record must be an object, got {type(record).__name__}"
+        )
+    kind = record.get("type")
+    cls = _NAME_TO_TYPE.get(kind)
+    if cls is None:
+        raise ValueError(f"unknown event type {kind!r}")
+    try:
+        u = check_vertex_count(record["u"], minimum=0, name="endpoint u")
+        v = check_vertex_count(record["v"], minimum=0, name="endpoint v")
+        if cls is EdgeDelete:
+            return EdgeDelete(u, v)
+        return cls(u, v, float(record["w"]))
+    except (KeyError, TypeError, OverflowError) as exc:
+        raise ValueError(
+            f"malformed {kind} record ({exc.__class__.__name__}: {exc})"
+        ) from exc
+
+
 def write_event_log(path: str | Path, events: Iterable[EdgeEvent]) -> None:
     """Write an event log; the suffix picks the format.
 
@@ -311,14 +382,7 @@ def write_event_log(path: str | Path, events: Iterable[EdgeEvent]) -> None:
     if path.suffix == ".jsonl":
         with open(path, "w", encoding="utf-8") as handle:
             for event in events:
-                record: dict = {
-                    "type": _TYPE_TO_NAME[type(event)],
-                    "u": int(event.u),
-                    "v": int(event.v),
-                }
-                if not isinstance(event, EdgeDelete):
-                    record["w"] = float(event.w)
-                handle.write(json.dumps(record) + "\n")
+                handle.write(json.dumps(event_to_record(event)) + "\n")
     elif path.suffix == ".npz":
         kind = np.array([_TYPE_TO_CODE[type(e)] for e in events], dtype=np.int8)
         u = np.array([e.u for e in events], dtype=np.int64)
@@ -361,26 +425,10 @@ def read_event_log(path: str | Path) -> list[EdgeEvent]:
                 if not line:
                     continue
                 record = json.loads(line)
-                kind = record.get("type")
-                cls = _NAME_TO_TYPE.get(kind)
-                if cls is None:
-                    raise ValueError(
-                        f"{path}:{line_no}: unknown event type {kind!r}"
-                    )
                 try:
-                    if cls is EdgeDelete:
-                        event = EdgeDelete(int(record["u"]), int(record["v"]))
-                    else:
-                        event = cls(
-                            int(record["u"]), int(record["v"]),
-                            float(record["w"]),
-                        )
-                except (KeyError, TypeError, ValueError) as exc:
-                    raise ValueError(
-                        f"{path}:{line_no}: malformed {kind} record "
-                        f"({exc.__class__.__name__}: {exc})"
-                    ) from exc
-                events.append(event)
+                    events.append(event_from_record(record))
+                except ValueError as exc:
+                    raise ValueError(f"{path}:{line_no}: {exc}") from exc
     elif path.suffix == ".npz":
         with np.load(path) as data:
             kind, u, v, w = data["kind"], data["u"], data["v"], data["w"]

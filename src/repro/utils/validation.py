@@ -82,8 +82,12 @@ def check_probability(value: float, name: str) -> float:
 
 def check_vertex_count(n: int, minimum: int = 1, name: str = "vertex count") -> int:
     """Require an integral count of at least ``minimum`` (not a boolean)."""
-    if isinstance(n, (bool, np.bool_)) or int(n) != n or n < minimum:
-        raise ValueError(f"{name} must be an integer >= {minimum}, got {n!r}")
+    try:
+        integral = not isinstance(n, (bool, np.bool_)) and int(n) == n
+    except (TypeError, ValueError, OverflowError):  # None, NaN, inf, ...
+        integral = False
+    if not integral or n < minimum:
+        raise ValueError(f"{name} must be an integer >= {minimum}, got {n!r:.40}")
     return int(n)
 
 

@@ -232,6 +232,13 @@ class TestErrors:
             ("/graphs", {"n": 2.5, "u": [0], "v": [1], "w": [1.0]}, "n"),
             ("/graphs", {"n": 3, "u": [0, 1.5], "v": [1, 2], "w": [1.0, 1.0]},
              "u"),
+            # A cast would move these edges: onto (0, 80), (1, 79), (7, 78).
+            ("/events", {"events": [{"type": "insert", "u": 0.5, "v": 80,
+                                     "w": 1.0}]}, "endpoint u"),
+            ("/events", {"events": [{"type": "insert", "u": True, "v": 79,
+                                     "w": 1.0}]}, "endpoint u"),
+            ("/events", {"events": [{"type": "insert", "u": "7", "v": 78,
+                                     "w": 1.0}]}, "endpoint u"),
         ],
         ids=[
             "resistance-huge-vertex", "similarity-huge-vertex",
@@ -242,6 +249,8 @@ class TestErrors:
             "embedding-fractional-dim", "embedding-boolean-dim",
             "embedding-fractional-node", "embedding-boolean-node",
             "graphs-fractional-n", "graphs-fractional-u",
+            "events-fractional-endpoint", "events-boolean-endpoint",
+            "events-string-endpoint",
         ],
     )
     def test_malformed_query_is_400(self, client, grid, path, payload, reason):

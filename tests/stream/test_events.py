@@ -149,6 +149,24 @@ class TestEventLogRoundTrip:
         with pytest.raises(ValueError, match=r"bad\.jsonl:2.*malformed"):
             read_event_log(path)
 
+    @pytest.mark.parametrize(
+        "endpoint", ["0.5", "true", '"1"', "-1", "NaN", "1e400", "null"]
+    )
+    def test_endpoint_is_checked_not_cast(self, tmp_path, endpoint):
+        """A cast would move the edge (0.5 -> 0, true -> 1, "1" -> 1)."""
+        path = tmp_path / "bad.jsonl"
+        path.write_text(
+            f'{{"type": "insert", "u": {endpoint}, "v": 2, "w": 1.0}}\n'
+        )
+        with pytest.raises(ValueError, match=r"bad\.jsonl:1: endpoint u"):
+            read_event_log(path)
+
+    def test_record_must_be_an_object(self, tmp_path):
+        path = tmp_path / "bad.jsonl"
+        path.write_text('[0, 1]\n')
+        with pytest.raises(ValueError, match=r"bad\.jsonl:1: .*object"):
+            read_event_log(path)
+
 
 class TestApplyEvents:
     def test_fold_semantics(self):
