@@ -24,6 +24,7 @@ import pytest
 
 from repro.graphs import generators
 from repro.solvers import AMGSolver, DirectSolver
+from repro.sparsify import state as sparsifier_state
 from repro.sparsify.densify import densify
 from repro.sparsify.edge_embedding import joule_heats
 from repro.sparsify.edge_similarity import select_dissimilar
@@ -79,13 +80,10 @@ def densify_rebuild(graph, tree_indices, sigma2=SIGMA2, seed=0,
     return edge_mask, elapsed, False
 
 
-def _compare(graph, seed=0, solver_method="auto"):
+def _compare(graph, seed=0):
     tree = low_stretch_tree(graph, seed=seed)
-    old_mask, old_times, _ = densify_rebuild(
-        graph, tree, seed=seed, solver_method=solver_method
-    )
-    result = densify(graph, tree, sigma2=SIGMA2, seed=seed,
-                     solver_method=solver_method)
+    old_mask, old_times, _ = densify_rebuild(graph, tree, seed=seed)
+    result = densify(graph, tree, sigma2=SIGMA2, seed=seed)
     new_times = [it.elapsed for it in result.iterations]
     return old_mask, old_times, result, new_times
 
@@ -115,18 +113,24 @@ def test_incremental_identical_and_faster_per_iteration(side, smoke, record):
         assert new_mean < old_mean
 
 
-def test_amg_hierarchy_reuse_faster(scale, smoke):
-    """The AMG path amortizes its hierarchy across iterations."""
+def test_amg_hierarchy_reuse_faster(scale, smoke, monkeypatch):
+    """The AMG path amortizes its hierarchy across iterations.
+
+    AMG only runs past the direct solver's size limit, so the limit is
+    lowered to force it, and the rebuild cadence is patched to compare
+    the default (rebuild every 8 batches) with rebuilding every batch.
+    """
     side = 32 if smoke else max(80, int(150 * scale))
     graph = generators.grid2d(side, side, weights="uniform", seed=4)
     tree = low_stretch_tree(graph, seed=0)
+    monkeypatch.setattr(sparsifier_state, "DIRECT_SOLVER_MAX_NODES", 0)
+    monkeypatch.setattr(sparsifier_state, "AMG_REBUILD_EVERY", 8)
     start = time.perf_counter()
-    reused = densify(graph, tree, sigma2=SIGMA2, seed=0,
-                     solver_method="amg", amg_rebuild_every=8)
+    reused = densify(graph, tree, sigma2=SIGMA2, seed=0)
     t_reuse = time.perf_counter() - start
+    monkeypatch.setattr(sparsifier_state, "AMG_REBUILD_EVERY", 0)
     start = time.perf_counter()
-    rebuilt = densify(graph, tree, sigma2=SIGMA2, seed=0,
-                      solver_method="amg", amg_rebuild_every=0)
+    rebuilt = densify(graph, tree, sigma2=SIGMA2, seed=0)
     t_rebuild = time.perf_counter() - start
     print(
         f"\nAMG grid2d({side}x{side}): reuse {t_reuse:.3f}s vs "

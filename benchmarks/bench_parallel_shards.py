@@ -60,11 +60,10 @@ def test_multi_component_speedup(record):
     """Acceptance: >1.5x wall-clock with 4 workers on a 4-shard workload."""
     side = max(40, int(70 * np.sqrt(bench_scale())))
     graph = _four_component_graph(side)
-    serial, t_serial = _timed_run(graph, workers=1, backend="serial")
-    parallel, t_parallel = _timed_run(
-        graph, workers=WORKERS, backend="process"
-    )
+    serial, t_serial = _timed_run(graph, workers=1)
+    parallel, t_parallel = _timed_run(graph, workers=WORKERS)
     assert np.array_equal(serial.edge_mask, parallel.edge_mask)
+    assert parallel.backend == "process"
     assert len(parallel.shards) == 4
     speedup = t_serial / t_parallel
     print(
@@ -84,13 +83,12 @@ def test_partitioned_speedup(record):
     side = max(40, int(90 * np.sqrt(bench_scale())))
     graph = generators.grid2d(side, side, weights="uniform", seed=1)
     max_nodes = graph.n // 4 + 1
-    serial, t_serial = _timed_run(
-        graph, workers=1, backend="serial", shard_max_nodes=max_nodes
-    )
+    serial, t_serial = _timed_run(graph, workers=1, shard_max_nodes=max_nodes)
     parallel, t_parallel = _timed_run(
-        graph, workers=WORKERS, backend="process", shard_max_nodes=max_nodes
+        graph, workers=WORKERS, shard_max_nodes=max_nodes
     )
     assert np.array_equal(serial.edge_mask, parallel.edge_mask)
+    assert parallel.backend == "process"
     assert len(parallel.shards) >= 4
     speedup = t_serial / t_parallel
     print(
@@ -106,11 +104,11 @@ def test_partitioned_speedup(record):
 
 
 def test_process_pool_overhead_bounded():
-    """On a small workload the process backend must stay within 3x of
+    """On a small workload the process pool must stay within 3x of
     serial wall time — guards against pathological pickling costs."""
     graph = _four_component_graph(24)
-    _, t_serial = _timed_run(graph, workers=1, backend="serial")
-    _, t_parallel = _timed_run(graph, workers=2, backend="process")
+    _, t_serial = _timed_run(graph, workers=1)
+    _, t_parallel = _timed_run(graph, workers=2)
     print(
         f"\nsmall workload: serial {t_serial:.3f}s, process {t_parallel:.3f}s"
     )

@@ -98,25 +98,6 @@ def test_batched_engine_beats_per_query_solves(scale, smoke, record):
         assert speedup >= 5.0
 
 
-def test_micro_batch_flush_coalesces_submissions(smoke):
-    """Cross-request micro-batching: k submitted queries execute as one
-    multi-RHS solve and agree with direct answers."""
-    side = 16 if smoke else 40
-    graph = generators.grid2d(side, side, weights="uniform", seed=7)
-    engine = QueryEngine(DynamicSparsifier(graph, sigma2=SIGMA2, seed=0))
-    rng = np.random.default_rng(3)
-    pairs = _query_pairs(graph.n, 48, rng)
-
-    handles = [engine.submit_resistance(int(u), int(v)) for u, v in pairs]
-    first = handles[0].result()  # one flush serves every submitter
-    assert engine.stats.flushes == 1
-    assert engine.stats.flushed_columns == len(handles)
-    assert all(h.ready for h in handles)
-    direct = engine.resistance(pairs)
-    assert np.allclose([h.result() for h in handles], direct)
-    assert first == direct[0]
-
-
 def test_http_latency_quantiles_from_metrics(smoke, record, tmp_path):
     """End-to-end HTTP serving latency, read from the service's own
     ``repro_http_request_seconds`` histogram — the same numbers

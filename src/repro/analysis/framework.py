@@ -51,8 +51,7 @@ _SUPPRESS = re.compile(r"#\s*repro-lint:\s*disable=([A-Za-z0-9_,\s]+)")
 CONTEXT_KNOBS = frozenset({
     "graph", "rng", "sigma2", "tree_method", "t", "num_vectors",
     "power_iterations", "max_iterations", "max_edges_per_iteration",
-    "similarity_mode", "solver_method", "max_update_rank",
-    "amg_rebuild_every", "converged", "iterations", "profile",
+    "similarity_mode", "converged", "iterations", "profile",
 })
 
 #: Context names that *flow* between stages (None/NaN until a stage or

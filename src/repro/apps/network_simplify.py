@@ -61,7 +61,6 @@ def simplify_network(
     seed: int | np.random.Generator | None = None,
     workers: int = 1,
     shard_max_nodes: int | None = None,
-    backend: str = "auto",
     **sparsify_options,
 ) -> NetworkSimplifyReport:
     """Sparsify a network and measure the spectral-computation payoff.
@@ -85,15 +84,11 @@ def simplify_network(
     shard_max_nodes:
         Optional cap on shard sizes (Fiedler splitting of oversized
         components).
-    backend:
-        Shard execution backend (see
-        :class:`repro.sparsify.parallel.ShardedSparsifier`).
     """
     with Timer() as t_total:
         result = sparsify_graph(
             graph, sigma2=sigma2, seed=seed, workers=workers,
-            shard_max_nodes=shard_max_nodes, backend=backend,
-            **sparsify_options,
+            shard_max_nodes=shard_max_nodes, **sparsify_options,
         )
     # λ1 of the tree backbone is the first densification iteration's
     # λmax estimate; λ̃1 is the final estimate.  On sharded runs the

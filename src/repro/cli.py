@@ -196,9 +196,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sparsify.add_argument("--shard-max-nodes", type=int, default=None,
                             help="split components larger than this along "
                                  "Fiedler sign cuts (default: no splitting)")
-    p_sparsify.add_argument("--backend", default="auto",
-                            choices=["auto", "serial", "thread", "process"],
-                            help="shard execution backend (default auto)")
     p_sparsify.add_argument("--profile", action="store_true",
                             help="print the pipeline's per-stage "
                                  "timing/counter table (sharded runs "
@@ -420,7 +417,6 @@ def _cmd_sparsify(args: argparse.Namespace) -> int:
         result = sparsify_graph(
             graph, sigma2=args.sigma2, tree_method=args.tree, seed=args.seed,
             workers=args.workers, shard_max_nodes=args.shard_max_nodes,
-            backend=args.backend,
         )
     write_matrix_market(
         args.output,
@@ -441,7 +437,6 @@ def _cmd_sparsify(args: argparse.Namespace) -> int:
         config = {
             "input": args.input, "sigma2": args.sigma2, "tree": args.tree,
             "workers": args.workers, "shard_max_nodes": args.shard_max_nodes,
-            "backend": args.backend,
         }
         RunLedger(args.ledger).append(
             RunRecord.from_result(result, config=config, seed=args.seed)

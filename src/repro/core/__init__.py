@@ -16,9 +16,8 @@ of carrying private copies:
   evolving sparsifier state, the managed solver handle, the RNG and
   all accumulated statistics;
 - :class:`~repro.core.pipeline.SparsifyPipeline` — the composer:
-  validates stage wiring, instruments every stage with wall-clock
-  timings and counters (:class:`~repro.core.profile.PipelineProfile`)
-  and offers before/after hook points for callers;
+  validates stage wiring and instruments every stage with wall-clock
+  timings and counters (:class:`~repro.core.profile.PipelineProfile`);
 - :mod:`repro.core.stages` — the paper loop as stages
   (:class:`TreeStage`, :class:`EstimateStage`, :class:`EmbeddingStage`,
   :class:`FilterStage`, :class:`SimilarityStage`, :class:`DensifyStage`,

@@ -49,8 +49,7 @@ class PipelineContext:
     sigma2:
         Target upper bound on the relative condition number.
     tree_method, t, num_vectors, power_iterations, max_iterations,
-    max_edges_per_iteration, similarity_mode, solver_method,
-    max_update_rank, amg_rebuild_every:
+    max_edges_per_iteration, similarity_mode:
         The algorithm knobs, with the same semantics and defaults as
         :class:`~repro.sparsify.SimilarityAwareSparsifier`.
     initial_mask:
@@ -89,9 +88,6 @@ class PipelineContext:
     max_iterations: int = 50
     max_edges_per_iteration: int | None = None
     similarity_mode: str = "endpoint"
-    solver_method: str = "auto"
-    max_update_rank: int = 64
-    amg_rebuild_every: int = 8
     initial_mask: np.ndarray | None = None
     tree_indices: np.ndarray | None = None
     state: object | None = None
@@ -149,8 +145,7 @@ class PipelineContext:
 
         When no ``state`` was mounted by the caller, a fresh
         :class:`~repro.sparsify.state.SparsifierState` is constructed
-        from the context's graph, backbone, ``initial_mask`` and solver
-        knobs.
+        from the context's graph, backbone and ``initial_mask``.
 
         Returns
         -------
@@ -171,12 +166,7 @@ class PipelineContext:
             from repro.sparsify.state import SparsifierState
 
             self.state = SparsifierState(
-                self.graph,
-                self.tree_indices,
-                initial_mask=self.initial_mask,
-                solver_method=self.solver_method,
-                max_update_rank=self.max_update_rank,
-                amg_rebuild_every=self.amg_rebuild_every,
+                self.graph, self.tree_indices, initial_mask=self.initial_mask
             )
         return self.state
 

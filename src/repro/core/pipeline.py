@@ -12,23 +12,19 @@ and counters are folded into the context's
 :class:`~repro.core.profile.PipelineProfile` — the profile is a view
 over the trace, and
 :meth:`~repro.core.profile.PipelineProfile.from_trace` rebuilds it
-from the recorded spans.  Callers can observe or intercept execution
-through the ``before_stage``/``after_stage`` hook points (the serving
-layer uses them for build progress, tests for wiring assertions).
+from the recorded spans.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Callable, Sequence
+from typing import Sequence
 
 from repro.core.context import PipelineContext
 from repro.core.stage import Stage
 from repro.obs import get_tracer
 
 __all__ = ["PipelineValidationError", "SparsifyPipeline"]
-
-StageHook = Callable[[Stage, PipelineContext], None]
 
 
 class PipelineValidationError(ValueError):
@@ -42,9 +38,6 @@ class SparsifyPipeline:
     ----------
     stages:
         Stages in execution order.
-    before_stage, after_stage:
-        Optional hooks called as ``hook(stage, ctx)`` around every
-        top-level stage execution.
 
     Raises
     ------
@@ -59,17 +52,10 @@ class SparsifyPipeline:
     ('tree', 'densify')
     """
 
-    def __init__(
-        self,
-        stages: Sequence[Stage],
-        before_stage: StageHook | None = None,
-        after_stage: StageHook | None = None,
-    ) -> None:
+    def __init__(self, stages: Sequence[Stage]) -> None:
         if not stages:
             raise ValueError("a pipeline needs at least one stage")
         self.stages = list(stages)
-        self.before_stage = before_stage
-        self.after_stage = after_stage
 
     @property
     def stage_names(self) -> tuple[str, ...]:
@@ -135,12 +121,8 @@ class SparsifyPipeline:
             for child in stage.child_names:
                 ctx.profile.ensure(child)
         for stage in self.stages:
-            if self.before_stage is not None:
-                self.before_stage(stage, ctx)
             with get_tracer().span(stage.name, category="stage") as span:
                 counters = stage.run(ctx)
                 span.annotate(counters)
             ctx.profile.record(stage.name, span.elapsed, counters)
-            if self.after_stage is not None:
-                self.after_stage(stage, ctx)
         return ctx

@@ -7,13 +7,13 @@ Three metric kinds cover every signal the instrumented layers emit:
 - :class:`Gauge` — last-observed values (streaming drift ratio,
   Woodbury update rank, resident artifact count).
 - :class:`Histogram` — fixed-bucket distributions (request latency,
-  micro-batch flush sizes) with Prometheus
+  Woodbury update ranks) with Prometheus
   cumulative-``le`` semantics and quantile estimation for p50/p99
   reporting.
 
 All metrics in one :class:`MetricsRegistry` share a single lock, so
-updates from the serving tier's handler threads, the query engine's
-flush path and shard worker threads are safe.  A registry snapshots to
+updates from the serving tier's handler threads and any other thread
+are safe.  A registry snapshots to
 a JSON-ready dict, merges snapshots from other registries (shard and
 cross-process stitching), resets between benchmark repetitions and
 renders the Prometheus text exposition format served by the HTTP

@@ -8,9 +8,8 @@ and embedding queries against it nearly for free.
 - :class:`SparsifierRegistry` — content-addressed artifact store
   (graph hash + sparsify params → cached sparsifier) with LRU memory
   residency and checkpoint spill-to-disk;
-- :class:`QueryEngine` — warm-solver query surface with cross-request
-  micro-batching (pending pair/rhs queries coalesce into one multi-RHS
-  solve);
+- :class:`QueryEngine` — warm-solver query surface (each call's pairs
+  or right-hand sides run as one multi-RHS solve);
 - :class:`SparsifierService` / :class:`ServeClient` — stdlib JSON
   HTTP server and client, wired to the streaming layer so
   ``POST /events`` keeps served answers σ²-fresh.
@@ -18,7 +17,7 @@ and embedding queries against it nearly for free.
 Entry point: ``python -m repro serve`` (see :mod:`repro.cli`).
 """
 
-from repro.serve.engine import EngineStats, PendingQuery, QueryEngine
+from repro.serve.engine import EngineStats, QueryEngine
 from repro.serve.registry import (
     RegistryEntry,
     RegistryStats,
@@ -30,7 +29,6 @@ from repro.serve.service import ServeClient, ServiceError, SparsifierService
 
 __all__ = [
     "EngineStats",
-    "PendingQuery",
     "QueryEngine",
     "RegistryEntry",
     "RegistryStats",

@@ -7,24 +7,13 @@ instead of the dense ``L_G`` — each answer certified to the σ
 similarity level (Feng, DAC'18 §3; GRASS makes the same argument for
 repeated eigen/solve workloads).  :class:`QueryEngine` is that serving
 surface: it holds a :class:`~repro.stream.DynamicSparsifier` and its
-warm factorized solver and turns queries into multi-RHS solves.
-
-Two execution paths:
-
-- **Direct** — :meth:`QueryEngine.resistance`, :meth:`~QueryEngine.solve`,
-  :meth:`~QueryEngine.similarity`, :meth:`~QueryEngine.embedding`
-  execute immediately, coalescing the columns *within* the call into
-  batched multi-RHS solves (the same trick
-  :func:`~repro.sparsify.effective_resistance.exact_effective_resistances`
-  uses per call).
-- **Micro-batched** — :meth:`QueryEngine.submit_resistance` /
-  :meth:`~QueryEngine.submit_solve` enqueue a query and return a
-  :class:`PendingQuery` handle.  The first ``result()`` call (or an
-  explicit :meth:`~QueryEngine.flush`) executes *every* pending query,
-  across submitters and threads, in **one** multi-RHS solve.  This is
-  the cross-request coalescing the HTTP service and the
-  ``bench_serve_queries`` benchmark lean on: ``k`` single-pair requests
-  cost one factorized solve with ``k`` columns instead of ``k`` solves.
+warm factorized solver and turns queries into multi-RHS solves:
+:meth:`QueryEngine.resistance`, :meth:`~QueryEngine.solve`,
+:meth:`~QueryEngine.similarity` and :meth:`~QueryEngine.embedding`
+coalesce the columns *within* one call into batched multi-RHS solves
+(the same trick
+:func:`~repro.sparsify.effective_resistance.exact_effective_resistances`
+uses per call).
 
 Freshness: the engine watches the dynamic sparsifier's
 :attr:`~repro.stream.DynamicSparsifier.state_token` and drops derived
@@ -37,12 +26,11 @@ answers are σ²-fresh by construction.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from repro.obs import get_metrics
-from repro.solvers.block import block_solve, pair_indicator_columns
+from repro.solvers.block import block_solve
 from repro.sparsify.effective_resistance import (
     exact_effective_resistances,
     validate_pairs,
@@ -51,77 +39,24 @@ from repro.spectral.embedding import spectral_coordinates
 from repro.stream.dynamic import DynamicSparsifier
 from repro.utils.validation import as_index_array
 
-__all__ = ["EngineStats", "PendingQuery", "QueryEngine"]
+__all__ = ["EngineStats", "QueryEngine"]
 
 
 @dataclass
 class EngineStats:
-    """Counters describing the engine's batching behavior.
+    """Counters describing the engine's work.
 
     Attributes
     ----------
     queries:
         Individual queries answered (a k-pair resistance call counts k).
-    flushes:
-        Micro-batch flushes executed (each is one multi-RHS solve).
-    flushed_columns:
-        Total RHS columns across all flushes; ``flushed_columns /
-        flushes`` is the realized coalescing factor.
     cache_invalidations:
         Times the embedding cache was dropped because the underlying
         dynamic sparsifier advanced.
     """
 
     queries: int = 0
-    flushes: int = 0
-    flushed_columns: int = 0
     cache_invalidations: int = 0
-
-
-@dataclass
-class _Pending:
-    """One enqueued micro-batched query (internal)."""
-
-    kind: str  # "resistance" | "solve"
-    payload: np.ndarray
-    handle: "PendingQuery" = field(repr=False)
-
-
-class PendingQuery:
-    """Handle for a micro-batched query.
-
-    Obtained from :meth:`QueryEngine.submit_resistance` /
-    :meth:`QueryEngine.submit_solve`.  Calling :meth:`result` flushes
-    the engine's whole pending queue if this query has not been executed
-    yet, so the *first* waiter pays one batched solve for everyone.
-    """
-
-    def __init__(self, engine: "QueryEngine") -> None:
-        self._engine = engine
-        self._ready = False
-        self._value: np.ndarray | float | None = None
-
-    @property
-    def ready(self) -> bool:
-        """Whether the query has been executed by a flush."""
-        return self._ready
-
-    def result(self) -> np.ndarray | float:
-        """The query's answer, flushing the pending batch if needed.
-
-        Returns
-        -------
-        numpy.ndarray or float
-            The effective resistance (float) or solution vector.
-        """
-        with self._engine.lock:
-            if not self._ready:
-                self._engine._flush_locked()
-        return self._value
-
-    def _fulfill(self, value: np.ndarray | float) -> None:
-        self._value = value
-        self._ready = True
 
 
 class QueryEngine:
@@ -134,8 +69,8 @@ class QueryEngine:
         :class:`~repro.sparsify.SparsifyResult` artifacts are wrapped
         via :meth:`~repro.stream.DynamicSparsifier.from_result` first.
     batch_size:
-        Columns per multi-RHS solve in direct resistance queries
-        (memory control; micro-batch flushes always run as one solve).
+        Columns per multi-RHS solve in resistance queries (memory
+        control).
     lock:
         Reentrant lock serializing all access to the engine *and* its
         dynamic sparsifier (a fresh one by default).  The registry
@@ -173,7 +108,6 @@ class QueryEngine:
         self.batch_size = int(batch_size)
         self.lock = lock if lock is not None else threading.RLock()
         self.stats = EngineStats()
-        self._pending: list[_Pending] = []
         self._token = dynamic.state_token
         self._embeddings: dict[int, np.ndarray] = {}
 
@@ -194,7 +128,7 @@ class QueryEngine:
                 self.stats.cache_invalidations += 1
 
     # ------------------------------------------------------------------
-    # Direct queries
+    # Queries
     # ------------------------------------------------------------------
     def resistance(self, pairs: np.ndarray) -> np.ndarray:
         """Effective resistance of vertex pairs against the sparsifier.
@@ -354,110 +288,3 @@ class QueryEngine:
                     raise ValueError(f"node label out of range [0, {n})")
             self.stats.queries += int(nodes.size)
             return coords[nodes]
-
-    # ------------------------------------------------------------------
-    # Cross-request micro-batching
-    # ------------------------------------------------------------------
-    def submit_resistance(self, u: int, v: int) -> PendingQuery:
-        """Enqueue a single-pair resistance query for batched execution.
-
-        Parameters
-        ----------
-        u, v:
-            The vertex pair.
-
-        Returns
-        -------
-        PendingQuery
-            Handle whose ``result()`` is the effective resistance; the
-            first resolved handle flushes everyone's queries in one
-            multi-RHS solve.
-
-        Raises
-        ------
-        ValueError
-            If an endpoint is out of range.
-        """
-        pair = validate_pairs(self._dyn.graph.n, [[u, v]])
-        handle = PendingQuery(self)
-        with self.lock:
-            self._pending.append(_Pending("resistance", pair[0], handle))
-        return handle
-
-    def submit_solve(self, rhs: np.ndarray) -> PendingQuery:
-        """Enqueue a single-vector solve for batched execution.
-
-        Parameters
-        ----------
-        rhs:
-            Right-hand side vector of length ``n``.
-
-        Returns
-        -------
-        PendingQuery
-            Handle whose ``result()`` is the solution vector.
-
-        Raises
-        ------
-        ValueError
-            If ``rhs`` is not a length-``n`` vector.
-        """
-        rhs = np.asarray(rhs, dtype=np.float64).ravel()
-        if rhs.shape[0] != self._dyn.graph.n:
-            raise ValueError(
-                f"rhs has {rhs.shape[0]} entries, expected {self._dyn.graph.n}"
-            )
-        handle = PendingQuery(self)
-        with self.lock:
-            self._pending.append(_Pending("solve", rhs, handle))
-        return handle
-
-    @property
-    def pending(self) -> int:
-        """Number of enqueued, not-yet-flushed micro-batched queries."""
-        return len(self._pending)
-
-    def flush(self) -> int:
-        """Execute every pending micro-batched query in one solve.
-
-        Returns
-        -------
-        int
-            The number of RHS columns solved (0 when nothing pended).
-        """
-        with self.lock:
-            return self._flush_locked()
-
-    def _flush_locked(self) -> int:
-        if not self._pending:
-            return 0
-        self._refresh_locked()
-        batch, self._pending = self._pending, []
-        n = self._dyn.graph.n
-        rhs = np.zeros((n, len(batch)))
-        res_cols = [c for c, item in enumerate(batch) if item.kind == "resistance"]
-        if res_cols:
-            # Degenerate u == v resistance columns are all-zero and solve
-            # to zero for free inside the shared multi-RHS call.
-            pairs = np.stack([batch[c].payload for c in res_cols])
-            rhs[:, res_cols] = pair_indicator_columns(n, pairs)
-        for col, item in enumerate(batch):
-            if item.kind != "resistance":
-                rhs[:, col] = item.payload
-        x = block_solve(self._dyn.solver(), rhs, caller="serve")
-        for col, item in enumerate(batch):
-            if item.kind == "resistance":
-                a, b = item.payload
-                item.handle._fulfill(float(x[a, col] - x[b, col]))
-            else:
-                item.handle._fulfill(x[:, col])
-        self.stats.queries += len(batch)
-        self.stats.flushes += 1
-        self.stats.flushed_columns += len(batch)
-        get_metrics().histogram(
-            "repro_serve_microbatch_size",
-            "RHS columns per micro-batch flush (the realized "
-            "cross-request coalescing factor).",
-            buckets=(1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0),
-        ).observe(float(len(batch)))
-        return len(batch)

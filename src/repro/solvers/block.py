@@ -1,8 +1,8 @@
 """Shared multi-RHS block-solve helpers with solve accounting.
 
 Every subsystem that amortizes a warm factorization over many
-right-hand sides — the serving tier's cross-request micro-batch flush,
-the §3.2 probe-vector embedding's power iteration, the σ² estimator —
+right-hand sides — the serving tier's query engine, the §3.2
+probe-vector embedding's power iteration, the σ² estimator —
 funnels through :func:`block_solve` here.  That buys two things:
 
 - **One blocking idiom.**  Stacking ``k`` columns into a single

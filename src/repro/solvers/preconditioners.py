@@ -138,8 +138,9 @@ def sparsifier_preconditioner(
         The sparsified graph whose Laplacian approximates the system.
     method:
         ``"cholesky"`` — factorize ``L_P`` exactly; ``"amg"`` — V-cycle
-        on ``L_P``; ``"auto"`` — cholesky below 200k vertices, AMG above
-        (mirrors the paper's practical configuration).
+        on ``L_P``; ``"auto"`` — cholesky up to
+        :data:`repro.sparsify.state.DIRECT_SOLVER_MAX_NODES` vertices,
+        AMG above (the densification engine's rule).
     slack:
         Optional diagonal to add (for non-singular SDD systems whose
         diagonal dominance must be preserved in the preconditioner).
@@ -158,7 +159,11 @@ def sparsifier_preconditioner(
     if slack is not None:
         L = (L + sp.diags(np.asarray(slack, dtype=np.float64))).tocsr()
     if method == "auto":
-        method = "cholesky" if sparsifier.n <= 200_000 else "amg"
+        # Imported here: repro.sparsify imports this package.
+        from repro.sparsify import state
+
+        direct = sparsifier.n <= state.DIRECT_SOLVER_MAX_NODES
+        method = "cholesky" if direct else "amg"
     if method == "cholesky":
         return DirectSolver(L.tocsc())
     if method == "amg":

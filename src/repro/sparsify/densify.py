@@ -90,11 +90,8 @@ def densify(
     max_iterations: int = 50,
     max_edges_per_iteration: int | None = None,
     similarity_mode: str = "endpoint",
-    solver_method: str = "auto",
     seed: int | np.random.Generator | None = None,
     initial_mask: np.ndarray | None = None,
-    max_update_rank: int = 64,
-    amg_rebuild_every: int = 8,
 ) -> DensifyResult:
     """Run the Section-3.7 densification loop until σ² is reached.
 
@@ -122,22 +119,12 @@ def densify(
     similarity_mode:
         Dissimilarity rule passed to
         :func:`repro.sparsify.edge_similarity.select_dissimilar`.
-    solver_method:
-        ``"auto"``, ``"cholesky"`` or ``"amg"`` for the sparsifier solver
-        used once off-tree edges exist.
     seed:
         Randomness shared by the estimators and embeddings.
     initial_mask:
         Optional starting sparsifier mask (must contain the tree) — the
         §3.1(c) *incremental improvement* path: densification resumes
         from an existing sparsifier instead of the bare tree.
-    max_update_rank:
-        Woodbury budget for the direct solver: accumulated edge-update
-        rank absorbed before a re-factorization (see
-        :class:`~repro.solvers.cholesky.DirectSolver`).
-    amg_rebuild_every:
-        Update batches an AMG hierarchy absorbs in place before it is
-        re-coarsened (see :class:`~repro.solvers.amg.AMGSolver`).
 
     Returns
     -------
@@ -159,9 +146,6 @@ def densify(
         max_iterations=max_iterations,
         max_edges_per_iteration=max_edges_per_iteration,
         similarity_mode=similarity_mode,
-        solver_method=solver_method,
-        max_update_rank=max_update_rank,
-        amg_rebuild_every=amg_rebuild_every,
         initial_mask=initial_mask,
         tree_indices=np.asarray(tree_indices, dtype=np.int64),
     )

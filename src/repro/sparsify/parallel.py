@@ -13,10 +13,11 @@ here exploits that:
 2. *sparsify* — run the serial stage pipeline
    (:class:`repro.sparsify.similarity_aware.SimilarityAwareSparsifier`,
    itself a :class:`~repro.core.pipeline.SparsifyPipeline`
-   configuration) on every shard, concurrently across a thread or
-   process pool, with per-shard RNGs spawned deterministically from
-   the root seed (:func:`repro.utils.rng.shard_rngs`) so the stitched
-   result never depends on the worker count;
+   configuration) on every shard, concurrently across a process pool
+   when there are several workers and several shards, with per-shard
+   RNGs spawned deterministically from the root seed
+   (:func:`repro.utils.rng.shard_rngs`) so the stitched result never
+   depends on the worker count;
 3. *stitch* — map each shard's edge mask back to the host graph's
    canonical edges, re-add every cut (shard-crossing) edge, and merge
    the per-shard diagnostics into one
@@ -67,9 +68,6 @@ __all__ = [
     "plan_shards",
     "shard_rngs",
 ]
-
-_BACKENDS = ("auto", "serial", "thread", "process")
-
 
 @dataclass(frozen=True)
 class Shard:
@@ -188,7 +186,8 @@ class ShardedSparsifyResult(SparsifyResult):
     cut_edge_indices:
         Host edges kept unconditionally because they crossed shards.
     backend / workers:
-        The execution backend and worker count actually used.
+        How the shards ran (``"serial"`` or ``"process"``) and the
+        worker count asked for.
     wall_seconds:
         End-to-end wall-clock time of plan + sparsify + stitch.
     """
@@ -432,13 +431,9 @@ class ShardedSparsifier:
     sigma2:
         Per-shard similarity target.
     workers:
-        Concurrent shard workers (1 = serial execution).
-    backend:
-        ``"serial"``, ``"thread"``, ``"process"`` or ``"auto"``
-        (process pool when ``workers > 1`` and there is more than one
-        non-trivial shard, serial otherwise).  Thread pools help when
-        shard work is dominated by GIL-releasing numpy/scipy kernels;
-        process pools parallelize the whole per-shard Python loop.
+        Concurrent shard workers.  With more than one worker and more
+        than one non-trivial shard the shards run in a process pool;
+        otherwise they run one after another in this process.
     shard_max_nodes:
         Optional cap on shard sizes; oversized components are split
         along Fiedler sign cuts (heuristic — see module docstring).
@@ -450,7 +445,8 @@ class ShardedSparsifier:
     **kernel_options:
         Remaining :class:`SimilarityAwareSparsifier` parameters
         (``tree_method``, ``t``, ``max_iterations``, ...), forwarded to
-        every shard unchanged.
+        every shard unchanged.  An unknown one is a :class:`TypeError`
+        here, at construction.
 
     Examples
     --------
@@ -470,75 +466,43 @@ class ShardedSparsifier:
         self,
         sigma2: float = 100.0,
         workers: int = 1,
-        backend: str = "auto",
         shard_max_nodes: int | None = None,
         seed: int | np.random.Generator | None = None,
         **kernel_options,
     ) -> None:
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
-        if backend not in _BACKENDS:
-            raise ValueError(
-                f"unknown backend {backend!r}; expected one of {_BACKENDS}"
-            )
+        # Fail here, not inside a shard worker, on an unknown option.
+        SimilarityAwareSparsifier(sigma2=sigma2, **kernel_options)
         self.sigma2 = float(sigma2)
         self.workers = int(workers)
-        self.backend = backend
         self.shard_max_nodes = shard_max_nodes
         self.seed = seed
         self.kernel_options = dict(kernel_options)
 
     # ------------------------------------------------------------------
-    # Execution backends
+    # Execution
     # ------------------------------------------------------------------
-    def _resolve_backend(self, num_tasks: int) -> str:
-        """Pick the concrete backend for ``num_tasks`` shard runs.
-
-        A single task always resolves to ``"serial"`` — a pool of one
-        is pure overhead — so the backend recorded on the result is the
-        one actually used.
-
-        Parameters
-        ----------
-        num_tasks:
-            Number of non-trivial shards to sparsify.
-
-        Returns
-        -------
-        str
-            ``"serial"``, ``"thread"`` or ``"process"``.
-        """
-        if num_tasks <= 1:
-            return "serial"
-        if self.backend != "auto":
-            return self.backend
-        if self.workers <= 1:
-            return "serial"
-        return "process"
-
     def _run_tasks(
-        self, tasks: list[tuple[Graph, dict, np.random.Generator]], backend: str
+        self, tasks: list[tuple[Graph, dict, np.random.Generator]], parallel: bool
     ) -> list[tuple[SparsifyResult, float]]:
-        """Execute shard tasks on the chosen backend, preserving order.
+        """Execute shard tasks serially or in a process pool, preserving order.
 
         Parameters
         ----------
         tasks:
             One ``(graph, options, rng)`` triple per non-trivial shard.
-        backend:
-            Resolved backend name (``"serial"``/``"thread"``/``"process"``).
+        parallel:
+            Run them in a process pool rather than one after another.
 
         Returns
         -------
         list[tuple[SparsifyResult, float]]
             Per-task results aligned with ``tasks``.
         """
-        if backend == "serial":
+        if not parallel:
             return [_sparsify_shard(task) for task in tasks]
         max_workers = min(self.workers, len(tasks))
-        if backend == "thread":
-            with concurrent.futures.ThreadPoolExecutor(max_workers) as pool:
-                return list(pool.map(_sparsify_shard, tasks))
         # Process pool: fork shares the already-imported repro package and
         # the (read-only) shard graphs with zero re-import cost; fall back
         # to the platform default where fork is unavailable.
@@ -598,7 +562,10 @@ class ShardedSparsifier:
                 rngs = [self.seed]  # single shard: match the serial pipeline
             else:
                 rngs = shard_rngs(self.seed, len(plan.shards))
-            backend = self._resolve_backend(len(active))
+            # A pool of one is pure overhead, so one worker or one task
+            # runs serially, and the result records what actually ran.
+            parallel = self.workers > 1 and len(active) > 1
+            backend = "process" if parallel else "serial"
             tasks = [
                 (shard.graph, self.kernel_options | {"sigma2": self.sigma2},
                  rngs[shard.index])
@@ -608,9 +575,10 @@ class ShardedSparsifier:
                 "shards.run", category="shard", backend=backend,
                 shards=len(active),
             ):
-                outcomes = self._run_tasks(tasks, backend)
+                outcomes = self._run_tasks(tasks, parallel)
             with tracer.span("shards.stitch", category="shard"):
-                result = self._stitch(graph, plan, active, outcomes, backend)
+                result = self._stitch(graph, plan, active, outcomes)
+        result.backend = backend
         result.wall_seconds = wall.elapsed
         return result
 
@@ -620,7 +588,6 @@ class ShardedSparsifier:
         plan: ShardPlan,
         active: list[Shard],
         outcomes: list[tuple[SparsifyResult, float]],
-        backend: str,
     ) -> ShardedSparsifyResult:
         """Merge per-shard results into one host-graph sparsifier.
 
@@ -634,8 +601,6 @@ class ShardedSparsifier:
             Non-trivial shards, aligned with ``outcomes``.
         outcomes:
             ``(result, seconds)`` per active shard.
-        backend:
-            The backend that was used (recorded in the result).
 
         Returns
         -------
@@ -721,6 +686,5 @@ class ShardedSparsifier:
             shards=[stats[i] for i in range(len(plan.shards))],
             num_components=plan.num_components,
             cut_edge_indices=plan.cut_edge_indices,
-            backend=backend,
             workers=self.workers,
         )

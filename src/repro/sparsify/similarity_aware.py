@@ -13,6 +13,7 @@ regenerate the paper's tables.
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -140,27 +141,6 @@ class SimilarityAwareSparsifier:
     similarity_mode:
         Dissimilarity rule (``"endpoint"``, ``"neighborhood"``,
         ``"none"``).
-    solver_method:
-        Sparsifier solver once off-tree edges exist (``"auto"``,
-        ``"cholesky"``, ``"amg"``).
-    max_update_rank:
-        Incremental-solver knob: the direct solver absorbs edge batches
-        as Woodbury low-rank corrections until their accumulated rank
-        crosses this threshold, and only then re-factorizes.  Absorbing
-        ``k`` edges costs ``k`` triangular solves, so this pays for
-        batches far smaller than a factorization — the tail iterations,
-        :func:`refine_sparsifier` passes, and runs with a small
-        ``max_edges_per_iteration``.  Under the default per-iteration
-        edge cap (``max(100, 5% · n)``) early batches exceed the rank
-        budget and re-factorize, which is the cheaper choice there.
-        Raise it on large graphs where factorizations dominate (memory
-        cost is ``O(n · rank)``); set it to 0 to force the
-        pre-incremental rebuild-every-iteration behaviour.
-    amg_rebuild_every:
-        Incremental-solver knob: number of densification edge batches an
-        AMG hierarchy absorbs in place (fine-level value patches, coarse
-        grids kept) before it is re-coarsened from the current
-        sparsifier Laplacian.
     rescale:
         Optional terminal re-scaling stage: ``None`` (default, keep
         original weights as the paper does), ``"similarity"`` (global
@@ -191,9 +171,6 @@ class SimilarityAwareSparsifier:
         max_iterations: int = 50,
         max_edges_per_iteration: int | None = None,
         similarity_mode: str = "endpoint",
-        solver_method: str = "auto",
-        max_update_rank: int = 64,
-        amg_rebuild_every: int = 8,
         rescale: str | None = None,
         seed: int | np.random.Generator | None = None,
     ) -> None:
@@ -212,9 +189,6 @@ class SimilarityAwareSparsifier:
         self.max_iterations = max_iterations
         self.max_edges_per_iteration = max_edges_per_iteration
         self.similarity_mode = similarity_mode
-        self.solver_method = solver_method
-        self.max_update_rank = max_update_rank
-        self.amg_rebuild_every = amg_rebuild_every
         self.rescale = rescale
         self.seed = seed
 
@@ -230,8 +204,7 @@ class SimilarityAwareSparsifier:
         Returns
         -------
         SparsifyPipeline
-            A freshly composed pipeline (stages are stateless; a new
-            composition per run keeps hooks independent).
+            A freshly composed pipeline (stages are stateless).
         """
         stages = [TreeStage(), DensifyStage()]
         if self.rescale is not None:
@@ -262,9 +235,6 @@ class SimilarityAwareSparsifier:
             max_iterations=self.max_iterations,
             max_edges_per_iteration=self.max_edges_per_iteration,
             similarity_mode=self.similarity_mode,
-            solver_method=self.solver_method,
-            max_update_rank=self.max_update_rank,
-            amg_rebuild_every=self.amg_rebuild_every,
         )
 
     def sparsify(self, graph: Graph, check_connected: bool = True) -> SparsifyResult:
@@ -350,6 +320,12 @@ def refine_sparsifier(
         The refined sparsifier; ``result`` itself when it already
         certifies the requested σ².
 
+    Raises
+    ------
+    TypeError
+        If ``densify_options`` names a parameter :func:`densify` does
+        not take, whether or not densification runs.
+
     Examples
     --------
     >>> from repro.graphs import generators
@@ -360,6 +336,8 @@ def refine_sparsifier(
     >>> fine.sparsifier.num_edges >= coarse.sparsifier.num_edges
     True
     """
+    # Refuse an unknown option even when no densification is needed.
+    inspect.signature(densify).bind_partial(**densify_options)
     if sigma2 >= result.sigma2_target and result.converged:
         return result
     with Timer() as densify_timer:
@@ -396,7 +374,6 @@ def sparsify_graph(
     sigma2: float = 100.0,
     workers: int = 1,
     shard_max_nodes: int | None = None,
-    backend: str = "auto",
     **options,
 ) -> SparsifyResult:
     """Functional one-shot entry point (see :class:`SimilarityAwareSparsifier`).
@@ -418,9 +395,6 @@ def sparsify_graph(
     shard_max_nodes:
         Optional cap on shard sizes; oversized components are split
         along Fiedler sign cuts.
-    backend:
-        Shard *execution* backend (``"auto"``, ``"serial"``,
-        ``"thread"``, ``"process"``); ignored on unsharded runs.
     options:
         Remaining :class:`SimilarityAwareSparsifier` parameters
         (forwarded to every shard on sharded runs).
@@ -447,7 +421,6 @@ def sparsify_graph(
             sigma2=sigma2,
             workers=workers,
             shard_max_nodes=shard_max_nodes,
-            backend=backend,
             **options,
         ).sparsify(graph)
     # Connectivity was just established; don't re-scan in the kernel.

@@ -33,9 +33,23 @@ from repro.solvers.amg import AMGSolver
 from repro.solvers.base import Solver, csr_value_positions
 from repro.solvers.cholesky import DirectSolver
 
-__all__ = ["SparsifierState"]
+__all__ = [
+    "AMG_REBUILD_EVERY",
+    "DIRECT_SOLVER_MAX_NODES",
+    "MAX_UPDATE_RANK",
+    "SparsifierState",
+]
 
-_SOLVER_METHODS = ("auto", "cholesky", "amg")
+#: Largest vertex count whose sparsifier is factored directly (the
+#: paper's CHOLMOD [5]); bigger graphs get AMG [13, 24] once off-tree
+#: edges exist.
+DIRECT_SOLVER_MAX_NODES = 200_000
+#: Woodbury rank a managed :class:`DirectSolver` absorbs before it
+#: asks to be re-factored.
+MAX_UPDATE_RANK = 64
+#: Update batches a managed :class:`AMGSolver` hierarchy absorbs in
+#: place before it is re-coarsened.
+AMG_REBUILD_EVERY = 8
 
 
 class SparsifierState:
@@ -50,17 +64,6 @@ class SparsifierState:
     initial_mask:
         Optional starting edge mask (must contain every tree edge); when
         omitted the state starts as the pure tree.
-    solver_method:
-        ``"auto"``, ``"cholesky"`` or ``"amg"`` for the sparsifier solver
-        once off-tree edges exist (``"auto"`` picks the direct solver up
-        to 200k vertices, AMG beyond).
-    max_update_rank:
-        Woodbury budget forwarded to :class:`DirectSolver` — edge
-        batches up to this accumulated rank are absorbed without
-        re-factorizing.
-    amg_rebuild_every:
-        Update batches an :class:`AMGSolver` hierarchy absorbs in place
-        before it is rebuilt from the current Laplacian.
     """
 
     def __init__(
@@ -68,19 +71,9 @@ class SparsifierState:
         graph: Graph,
         tree_indices: np.ndarray,
         initial_mask: np.ndarray | None = None,
-        solver_method: str = "auto",
-        max_update_rank: int = 64,
-        amg_rebuild_every: int = 8,
     ) -> None:
-        if solver_method not in _SOLVER_METHODS:
-            raise ValueError(f"unknown solver method {solver_method!r}")
-        if max_update_rank < 0:
-            raise ValueError(f"max_update_rank must be >= 0, got {max_update_rank}")
         self.graph = graph
         self.tree_indices = np.asarray(tree_indices, dtype=np.int64)
-        self.solver_method = solver_method
-        self.max_update_rank = int(max_update_rank)
-        self.amg_rebuild_every = int(amg_rebuild_every)
         self.solver_rebuilds = 0
 
         if initial_mask is None:
@@ -325,9 +318,9 @@ class SparsifierState:
         -------
         Solver
             A :class:`DirectSolver` while the sparsifier is a pure tree
-            (a tree factors with no fill, so this costs ``O(n)``), and
-            the configured direct or AMG solver once off-tree edges
-            exist.
+            (a tree factors with no fill, so this costs ``O(n)``) or
+            the graph has at most :data:`DIRECT_SOLVER_MAX_NODES`
+            vertices, an :class:`AMGSolver` otherwise.
         """
         if self._solver is None:
             self._solver = self._build_solver()
@@ -337,19 +330,16 @@ class SparsifierState:
     def _build_solver(self) -> Solver:
         """Factor ``L_P`` directly, or build AMG for large non-trees.
 
-        The pure tree always gets the direct solver, whatever the
-        method: under the minimum-degree ordering its factor has no
-        fill, and it absorbs the first edge batches through Woodbury
-        updates like any other factorization.
+        The pure tree always gets the direct solver, whatever its size:
+        under the minimum-degree ordering its factor has no fill, and it
+        absorbs the first edge batches through Woodbury updates like any
+        other factorization.
         """
-        method = self.solver_method
-        if method == "auto":
-            method = "cholesky" if self.graph.n <= 200_000 else "amg"
-        if self.is_pure_tree or method == "cholesky":
+        if self.is_pure_tree or self.graph.n <= DIRECT_SOLVER_MAX_NODES:
             return DirectSolver(
                 self.pruned_laplacian().tocsc(),
-                max_update_rank=self.max_update_rank,
+                max_update_rank=MAX_UPDATE_RANK,
             )
         return AMGSolver(
-            self._laplacian, cycles=2, rebuild_every=self.amg_rebuild_every
+            self._laplacian, cycles=2, rebuild_every=AMG_REBUILD_EVERY
         )

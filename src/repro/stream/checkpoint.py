@@ -9,7 +9,17 @@ checkpoint is an ``npz`` + ``json`` sibling pair derived from one path:
   spanning-tree indices, cached sparsifier degrees — saved bit-exact;
 - ``<stem>.json`` — the configuration, counters, quality estimate and
   the RNG bit-generator state, all values that round-trip exactly
-  through JSON.
+  through JSON, plus the sha256 of the npz's bytes.
+
+Both files are written to temporary siblings and renamed into place,
+the npz first and the json last, so a save that fails or is killed
+never leaves a half-written file under a checkpoint's name.  The
+digest ties the pair together: a torn pair (a kill between the two
+renames, or files copied from different saves) or a corrupt npz is
+refused with :class:`ValueError` on load instead of restoring a
+mismatched state.  Nothing is fsync'ed, so after a power loss a
+checkpoint may be refused, but it is never silently wrong.
+Checkpoints written before the digest existed load unchecked.
 
 Determinism contract: saving flushes the incrementally corrected
 solver (:meth:`DynamicSparsifier.flush_solver`), so the surviving live
@@ -28,7 +38,10 @@ default ``PCG64`` family is).
 from __future__ import annotations
 
 import dataclasses
+import hashlib
+import io
 import json
+import os
 from pathlib import Path
 
 import numpy as np
@@ -36,6 +49,7 @@ import numpy as np
 from repro.graphs.graph import Graph
 from repro.sparsify.densify import DensifyIteration
 from repro.sparsify.similarity_aware import SparsifyResult
+from repro.sparsify.state import AMG_REBUILD_EVERY, MAX_UPDATE_RANK
 from repro.stream.dynamic import DynamicSparsifier
 from repro.utils.rng import restore_rng, rng_state
 
@@ -48,6 +62,19 @@ __all__ = [
 ]
 
 _FORMAT_VERSION = 1
+
+# Removed options that older checkpoints carry in their config, each
+# with the one value every run now uses.  A run saved at that value
+# resumes bit-identically; any other value would silently change its
+# results, so such a checkpoint is refused.  (The removed
+# kernel_backend and estimator_refresh keys changed no result at any
+# value and are ignored.)
+_LEGACY_CONFIG = {
+    "estimator_backend": "reference",
+    "solver_method": "auto",
+    "max_update_rank": MAX_UPDATE_RANK,
+    "amg_rebuild_every": AMG_REBUILD_EVERY,
+}
 
 
 def checkpoint_paths(path: str | Path) -> tuple[Path, Path]:
@@ -74,6 +101,66 @@ def checkpoint_paths(path: str | Path) -> tuple[Path, Path]:
     return Path(f"{path}.npz"), Path(f"{path}.json")
 
 
+def _write_pair(path: str | Path, arrays: dict, meta: dict) -> tuple[Path, Path]:
+    """Write a checkpoint pair; a failed save leaves the old pair intact.
+
+    The npz is serialized in memory, so its sha256 can go into the json.
+    Both files are written to ``.tmp`` siblings, then renamed over their
+    targets, the npz first and the json last.
+    """
+    npz_path, json_path = checkpoint_paths(path)
+    buffer = io.BytesIO()
+    np.savez_compressed(buffer, **arrays)
+    payload = buffer.getvalue()
+    text = json.dumps(
+        {**meta, "npz_sha256": hashlib.sha256(payload).hexdigest()}, indent=2
+    )
+    npz_tmp = npz_path.with_name(npz_path.name + ".tmp")
+    json_tmp = json_path.with_name(json_path.name + ".tmp")
+    try:
+        npz_tmp.write_bytes(payload)
+        json_tmp.write_text(text, encoding="utf-8")
+        os.replace(npz_tmp, npz_path)
+        os.replace(json_tmp, json_path)
+    finally:
+        npz_tmp.unlink(missing_ok=True)
+        json_tmp.unlink(missing_ok=True)
+    return npz_path, json_path
+
+
+def _read_pair(path: str | Path, kind: str, label: str) -> tuple[dict, dict, Path]:
+    """Read and check a checkpoint pair written by :func:`_write_pair`.
+
+    Returns the json metadata, the npz arrays and the json path (for
+    error messages).  The npz bytes are hashed and parsed from one read.
+
+    Raises
+    ------
+    ValueError
+        If the checkpoint kind or format version is wrong, or the npz
+        does not match the digest the json recorded for it.
+    """
+    npz_path, json_path = checkpoint_paths(path)
+    with open(json_path, "r", encoding="utf-8") as handle:
+        meta = json.load(handle)
+    if meta.get("kind") != kind:
+        raise ValueError(f"{json_path} is not a {label} checkpoint")
+    if meta.get("format_version") != _FORMAT_VERSION:
+        raise ValueError(
+            f"unsupported checkpoint format version {meta.get('format_version')}"
+        )
+    payload = npz_path.read_bytes()
+    expected = meta.get("npz_sha256")
+    if expected is not None and hashlib.sha256(payload).hexdigest() != expected:
+        raise ValueError(
+            f"{npz_path} does not match the sha256 recorded in {json_path}; "
+            "the pair is torn or the npz is corrupt"
+        )
+    with np.load(io.BytesIO(payload)) as data:
+        arrays = {name: data[name] for name in data.files}
+    return meta, arrays, json_path
+
+
 def save_dynamic(path: str | Path, dyn: DynamicSparsifier) -> tuple[Path, Path]:
     """Persist a :class:`DynamicSparsifier` (flushes its solver first).
 
@@ -89,18 +176,16 @@ def save_dynamic(path: str | Path, dyn: DynamicSparsifier) -> tuple[Path, Path]:
     tuple
         The written ``(npz, json)`` paths.
     """
-    npz_path, json_path = checkpoint_paths(path)
     dyn.flush_solver()
-    np.savez_compressed(
-        npz_path,
-        n=np.int64(dyn.graph.n),
-        u=dyn.graph.u,
-        v=dyn.graph.v,
-        w=dyn.graph.w,
-        edge_mask=dyn.edge_mask,
-        tree_indices=dyn.tree_indices,
-        deg_p=dyn._deg_p,
-    )
+    arrays = {
+        "n": np.int64(dyn.graph.n),
+        "u": dyn.graph.u,
+        "v": dyn.graph.v,
+        "w": dyn.graph.w,
+        "edge_mask": dyn.edge_mask,
+        "tree_indices": dyn.tree_indices,
+        "deg_p": dyn._deg_p,
+    }
     meta = {
         "format_version": _FORMAT_VERSION,
         "kind": "dynamic_sparsifier",
@@ -111,9 +196,6 @@ def save_dynamic(path: str | Path, dyn: DynamicSparsifier) -> tuple[Path, Path]:
             "check_every": dyn.check_every,
             "tree_rebuild_threshold": dyn.tree_rebuild_threshold,
             "absorb_inserts": dyn.absorb_inserts,
-            "solver_method": dyn.solver_method,
-            "max_update_rank": dyn.max_update_rank,
-            "amg_rebuild_every": dyn.amg_rebuild_every,
             "power_iterations": dyn.power_iterations,
             "densify_options": dyn._densify_options,
         },
@@ -128,9 +210,7 @@ def save_dynamic(path: str | Path, dyn: DynamicSparsifier) -> tuple[Path, Path]:
         "last_estimate": dyn.last_estimate,
         "rng_state": rng_state(dyn._rng),
     }
-    with open(json_path, "w", encoding="utf-8") as handle:
-        json.dump(meta, handle, indent=2)
-    return npz_path, json_path
+    return _write_pair(path, arrays, meta)
 
 
 def load_dynamic(path: str | Path) -> DynamicSparsifier:
@@ -149,37 +229,23 @@ def load_dynamic(path: str | Path) -> DynamicSparsifier:
     Raises
     ------
     ValueError
-        If the checkpoint kind or format version is unknown, or it was
-        written by a run that used the removed ``perturbation`` σ²
-        estimator.
+        If the checkpoint kind or format version is unknown, the npz
+        does not match the json's digest, or the config holds a removed
+        option at a value other than the one every run now uses (such
+        as the ``perturbation`` σ² estimator).
     """
-    npz_path, json_path = checkpoint_paths(path)
-    with open(json_path, "r", encoding="utf-8") as handle:
-        meta = json.load(handle)
-    if meta.get("kind") != "dynamic_sparsifier":
-        raise ValueError(f"{json_path} is not a DynamicSparsifier checkpoint")
-    if meta.get("format_version") != _FORMAT_VERSION:
-        raise ValueError(
-            f"unsupported checkpoint format version {meta.get('format_version')}"
-        )
-    with np.load(npz_path) as data:
-        graph = Graph(int(data["n"]), data["u"], data["v"], data["w"])
-        edge_mask = data["edge_mask"].astype(bool)
-        tree_indices = data["tree_indices"].astype(np.int64)
-        deg_p = data["deg_p"].astype(np.float64)
+    meta, data, json_path = _read_pair(
+        path, "dynamic_sparsifier", "DynamicSparsifier"
+    )
     config = meta["config"]
-    # Older checkpoints also carry the removed kernel_backend,
-    # estimator_backend and estimator_refresh keys.  Every kernel
-    # backend was bit-identical, so they are ignored, except a run on
-    # the perturbation estimator: resuming it under the solve-backed
-    # estimator would silently change its results.
-    estimator = config.get("estimator_backend", "reference")
-    if estimator != "reference":
-        raise ValueError(
-            f"{json_path} was written with estimator_backend="
-            f"{estimator!r}, which no longer exists; only runs on the "
-            "solve-backed estimator can be resumed"
-        )
+    for key, required in _LEGACY_CONFIG.items():
+        value = config.get(key, required)
+        if value != required:
+            raise ValueError(
+                f"{json_path} was written with {key}={value!r}; that option "
+                f"is gone, and only runs at {key}={required!r} can be resumed"
+            )
+    graph = Graph(int(data["n"]), data["u"], data["v"], data["w"])
     dyn = DynamicSparsifier(
         graph,
         sigma2=config["sigma2"],
@@ -188,16 +254,13 @@ def load_dynamic(path: str | Path) -> DynamicSparsifier:
         check_every=config["check_every"],
         tree_rebuild_threshold=config["tree_rebuild_threshold"],
         absorb_inserts=config["absorb_inserts"],
-        solver_method=config["solver_method"],
-        max_update_rank=config["max_update_rank"],
-        amg_rebuild_every=config["amg_rebuild_every"],
         power_iterations=config["power_iterations"],
         densify_options=config["densify_options"],
         _defer_init=True,
     )
-    dyn.edge_mask = edge_mask
-    dyn.tree_indices = tree_indices
-    dyn._deg_p = deg_p
+    dyn.edge_mask = data["edge_mask"].astype(bool)
+    dyn.tree_indices = data["tree_indices"].astype(np.int64)
+    dyn._deg_p = data["deg_p"].astype(np.float64)
     dyn._rng = restore_rng(meta["rng_state"])
     counters = meta["counters"]
     dyn.batches_applied = counters["batches_applied"]
@@ -225,16 +288,14 @@ def save_result(path: str | Path, result: SparsifyResult) -> tuple[Path, Path]:
     tuple
         The written ``(npz, json)`` paths.
     """
-    npz_path, json_path = checkpoint_paths(path)
-    np.savez_compressed(
-        npz_path,
-        n=np.int64(result.graph.n),
-        u=result.graph.u,
-        v=result.graph.v,
-        w=result.graph.w,
-        edge_mask=np.asarray(result.edge_mask, dtype=bool),
-        tree_indices=np.asarray(result.tree_indices, dtype=np.int64),
-    )
+    arrays = {
+        "n": np.int64(result.graph.n),
+        "u": result.graph.u,
+        "v": result.graph.v,
+        "w": result.graph.w,
+        "edge_mask": np.asarray(result.edge_mask, dtype=bool),
+        "tree_indices": np.asarray(result.tree_indices, dtype=np.int64),
+    }
     meta = {
         "format_version": _FORMAT_VERSION,
         "kind": "sparsify_result",
@@ -245,9 +306,7 @@ def save_result(path: str | Path, result: SparsifyResult) -> tuple[Path, Path]:
         "densify_seconds": result.densify_seconds,
         "iterations": [dataclasses.asdict(it) for it in result.iterations],
     }
-    with open(json_path, "w", encoding="utf-8") as handle:
-        json.dump(meta, handle, indent=2)
-    return npz_path, json_path
+    return _write_pair(path, arrays, meta)
 
 
 def load_result(path: str | Path) -> SparsifyResult:
@@ -267,26 +326,17 @@ def load_result(path: str | Path) -> SparsifyResult:
     Raises
     ------
     ValueError
-        If the checkpoint kind or format version is unknown.
+        If the checkpoint kind or format version is unknown, or the npz
+        does not match the json's digest.
     """
-    npz_path, json_path = checkpoint_paths(path)
-    with open(json_path, "r", encoding="utf-8") as handle:
-        meta = json.load(handle)
-    if meta.get("kind") != "sparsify_result":
-        raise ValueError(f"{json_path} is not a SparsifyResult checkpoint")
-    if meta.get("format_version") != _FORMAT_VERSION:
-        raise ValueError(
-            f"unsupported checkpoint format version {meta.get('format_version')}"
-        )
-    with np.load(npz_path) as data:
-        graph = Graph(int(data["n"]), data["u"], data["v"], data["w"])
-        edge_mask = data["edge_mask"].astype(bool)
-        tree_indices = data["tree_indices"].astype(np.int64)
+    meta, data, _ = _read_pair(path, "sparsify_result", "SparsifyResult")
+    graph = Graph(int(data["n"]), data["u"], data["v"], data["w"])
+    edge_mask = data["edge_mask"].astype(bool)
     return SparsifyResult(
         graph=graph,
         sparsifier=graph.edge_subgraph(edge_mask),
         edge_mask=edge_mask,
-        tree_indices=tree_indices,
+        tree_indices=data["tree_indices"].astype(np.int64),
         sigma2_target=meta["sigma2_target"],
         sigma2_estimate=meta["sigma2_estimate"],
         converged=meta["converged"],

@@ -67,6 +67,7 @@ from repro.graphs.components import is_connected
 from repro.solvers.amg import AMGSolver
 from repro.solvers.base import Solver
 from repro.solvers.cholesky import DirectSolver
+from repro.sparsify import state as sparsifier_state
 from repro.sparsify.metrics import SimilarityEstimate
 from repro.spectral.extreme import generalized_power_iteration
 from repro.stream.events import (
@@ -82,8 +83,6 @@ from repro.trees.spanning import complete_forest
 from repro.utils.rng import as_rng
 
 __all__ = ["BatchReport", "DynamicSparsifier"]
-
-_SOLVER_METHODS = ("auto", "cholesky", "amg")
 
 # Densify knobs a DynamicSparsifier forwards into its pipeline contexts
 # (the subset of PipelineContext fields that are per-run algorithm
@@ -254,19 +253,6 @@ class DynamicSparsifier:
         only join the host graph and the drift monitor decides when to
         pull candidates in via re-densification (smaller sparsifier,
         more tier-3 work).
-    solver_method:
-        ``"auto"``, ``"cholesky"`` or ``"amg"`` for the managed
-        sparsifier solver.
-    max_update_rank:
-        Woodbury budget of the managed direct solver — batches are
-        absorbed without re-factorizing until the accumulated rank
-        crosses this.  Batches beyond the budget trigger a clean
-        re-factorization instead, which is the *cheaper* choice for
-        large batches (absorbing ``k`` edges costs ``k`` triangular
-        solves, quickly outrunning one factorization), so keep this
-        at small-batch scale.
-    amg_rebuild_every:
-        Update batches an AMG hierarchy absorbs before re-coarsening.
     power_iterations:
         Generalized power iterations per drift check.
     seed:
@@ -298,9 +284,6 @@ class DynamicSparsifier:
         check_every: int = 1,
         tree_rebuild_threshold: int | None = None,
         absorb_inserts: bool = True,
-        solver_method: str = "auto",
-        max_update_rank: int = 64,
-        amg_rebuild_every: int = 8,
         power_iterations: int = 10,
         seed: int | np.random.Generator | None = None,
         densify_options: dict | None = None,
@@ -314,19 +297,12 @@ class DynamicSparsifier:
             )
         if check_every < 1:
             raise ValueError(f"check_every must be >= 1, got {check_every}")
-        if solver_method not in _SOLVER_METHODS:
-            raise ValueError(f"unknown solver method {solver_method!r}")
-        if max_update_rank < 0:
-            raise ValueError(f"max_update_rank must be >= 0, got {max_update_rank}")
         self.sigma2 = float(sigma2)
         self.tree_method = tree_method
         self.drift_tolerance = float(drift_tolerance)
         self.check_every = int(check_every)
         self.tree_rebuild_threshold = tree_rebuild_threshold
         self.absorb_inserts = bool(absorb_inserts)
-        self.solver_method = solver_method
-        self.max_update_rank = int(max_update_rank)
-        self.amg_rebuild_every = int(amg_rebuild_every)
         self.power_iterations = int(power_iterations)
         self._densify_options = dict(densify_options or {})
         unknown = set(self._densify_options) - set(_DENSIFY_OPTION_KEYS)
@@ -427,9 +403,6 @@ class DynamicSparsifier:
             rng=self._rng,
             sigma2=self.sigma2,
             tree_method=self.tree_method,
-            solver_method=self.solver_method,
-            max_update_rank=self.max_update_rank,
-            amg_rebuild_every=self.amg_rebuild_every,
             power_iterations=self.power_iterations,
             tree_indices=(
                 self.tree_indices if state is not None else None
@@ -530,16 +503,16 @@ class DynamicSparsifier:
     def _ensure_solver(self) -> Solver:
         if self._solver is None:
             lap = self.sparsifier().laplacian()
-            method = self.solver_method
-            if method == "auto":
-                method = "cholesky" if self.graph.n <= 200_000 else "amg"
-            if method == "cholesky":
+            if self.graph.n <= sparsifier_state.DIRECT_SOLVER_MAX_NODES:
                 self._solver = DirectSolver(
-                    lap.tocsc(), max_update_rank=self.max_update_rank
+                    lap.tocsc(),
+                    max_update_rank=sparsifier_state.MAX_UPDATE_RANK,
                 )
             else:
                 self._solver = AMGSolver(
-                    lap, cycles=2, rebuild_every=self.amg_rebuild_every
+                    lap,
+                    cycles=2,
+                    rebuild_every=sparsifier_state.AMG_REBUILD_EVERY,
                 )
             self.solver_rebuilds += 1
         return self._solver

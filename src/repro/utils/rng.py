@@ -64,8 +64,8 @@ def shard_rngs(
     """Deterministic per-subproblem child generators.
 
     Subproblem ``i`` of a decomposition is always driven by
-    ``shard_rngs(seed, count)[i]``, independent of execution order,
-    worker count and backend — this is what makes a sharded (or
+    ``shard_rngs(seed, count)[i]``, independent of execution order
+    and worker count — this is what makes a sharded (or
     otherwise fanned-out) run a pure function of ``(input, options,
     seed)``.  Exposed so callers can reproduce a single subproblem's
     serial run (the shard-parity tests do exactly that).

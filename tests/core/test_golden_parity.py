@@ -51,11 +51,8 @@ def legacy_densify(
     max_iterations=50,
     max_edges_per_iteration=None,
     similarity_mode="endpoint",
-    solver_method="auto",
     seed=None,
     initial_mask=None,
-    max_update_rank=64,
-    amg_rebuild_every=8,
 ):
     """The pre-refactor Section-3.7 batch loop, verbatim."""
     rng = as_rng(seed)
@@ -63,9 +60,6 @@ def legacy_densify(
         graph,
         tree_indices,
         initial_mask=initial_mask,
-        solver_method=solver_method,
-        max_update_rank=max_update_rank,
-        amg_rebuild_every=amg_rebuild_every,
     )
     if max_edges_per_iteration is None:
         max_edges_per_iteration = max(100, int(0.05 * graph.n))

@@ -92,18 +92,6 @@ class TestValidation:
 
 
 class TestHooksAndRun:
-    def test_hooks_fire_in_order(self):
-        calls = []
-        pipeline = SparsifyPipeline(
-            [TreeStage(), DensifyStage()],
-            before_stage=lambda stage, ctx: calls.append(f"before:{stage.name}"),
-            after_stage=lambda stage, ctx: calls.append(f"after:{stage.name}"),
-        )
-        pipeline.run(batch_context(grid(8)))
-        assert calls == [
-            "before:tree", "after:tree", "before:densify", "after:densify",
-        ]
-
     def test_run_returns_same_context(self):
         ctx = batch_context(grid(8))
         out = SparsifyPipeline([TreeStage(), DensifyStage()]).run(ctx)

@@ -90,16 +90,18 @@ class TestBatchParity:
 
 
 class TestShardParity:
-    @pytest.mark.parametrize("backend", ["serial", "thread", "process"])
+    @pytest.mark.parametrize("backend", ["serial", "process"])
     def test_sharded_bit_identical(self, backend):
         graph = disjoint_union(
             generators.grid2d(7, 7, weights="uniform", seed=0),
             generators.grid2d(6, 6, weights="uniform", seed=1),
         )
-        kwargs = dict(sigma2=60.0, workers=2, backend=backend, seed=11)
+        workers = 1 if backend == "serial" else 2
+        kwargs = dict(sigma2=60.0, workers=workers, seed=11)
 
         obs.disable()
         off = ShardedSparsifier(**kwargs).sparsify(graph)
+        assert off.backend == backend
 
         tracer, metrics = _observed_pair()
         with obs.observed(tracer=tracer, metrics=metrics):

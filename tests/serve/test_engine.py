@@ -126,41 +126,6 @@ class TestEmbedding:
             engine.embedding(nodes=[0, 100])
 
 
-class TestMicroBatching:
-    def test_one_flush_serves_all_pending(self, engine):
-        handles = [engine.submit_resistance(0, i) for i in range(1, 9)]
-        handles.append(engine.submit_solve(_dipole(engine, 0, 50)))
-        assert engine.pending == 9
-        first = handles[0].result()  # triggers the flush for everyone
-        assert engine.pending == 0
-        assert all(h.ready for h in handles)
-        assert engine.stats.flushes == 1
-        assert engine.stats.flushed_columns == 9
-        assert first == pytest.approx(float(engine.resistance([[0, 1]])[0]))
-
-    def test_batched_answers_match_direct(self, engine):
-        pairs = [(0, 9), (13, 77), (4, 4)]
-        handles = [engine.submit_resistance(u, v) for u, v in pairs]
-        engine.flush()
-        direct = engine.resistance(np.array(pairs))
-        assert np.allclose([h.result() for h in handles], direct)
-
-    def test_batched_solve_matches_direct(self, engine):
-        rhs = _dipole(engine, 3, 42)
-        handle = engine.submit_solve(rhs)
-        assert np.allclose(handle.result(), engine.solve(rhs))
-
-    def test_flush_empty_is_noop(self, engine):
-        assert engine.flush() == 0
-        assert engine.stats.flushes == 0
-
-    def test_submit_validates_eagerly(self, engine):
-        with pytest.raises(ValueError, match="out of range"):
-            engine.submit_resistance(0, 100)
-        with pytest.raises(ValueError, match="entries"):
-            engine.submit_solve(np.ones(3))
-
-
 class TestFreshness:
     def test_event_batch_changes_answers(self, engine):
         before = float(engine.resistance([[0, 99]])[0])
@@ -181,9 +146,3 @@ class TestFreshness:
         estimate = engine.dynamic.last_estimate
         assert np.isfinite(estimate)
         assert estimate <= SIGMA2 * engine.dynamic.drift_tolerance + 1e-9
-
-
-def _dipole(engine, a, b):
-    rhs = np.zeros(engine.dynamic.graph.n)
-    rhs[a], rhs[b] = 1.0, -1.0
-    return rhs

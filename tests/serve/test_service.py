@@ -264,12 +264,16 @@ class TestErrors:
             assert reason in str(excinfo.value)
 
     def test_negative_max_update_rank_is_400(self, client, grid):
-        """A negative Woodbury budget would turn every update into a
-        re-factorization; it is refused at registration."""
+        """The Woodbury budget is no longer a registration parameter, so
+        a negative one is refused as an unknown keyword before any
+        build, not by a range check."""
         with pytest.raises(ServiceError) as excinfo:
             client.register(grid, sigma2=SIGMA2, max_update_rank=-1)
         assert excinfo.value.status == 400
-        assert "max_update_rank" in str(excinfo.value)
+        assert "unexpected keyword argument 'max_update_rank'" in str(
+            excinfo.value
+        )
+        assert client.stats()["artifacts"] == {}
 
     def test_removed_kernel_backend_param_is_400(self, client, grid):
         with pytest.raises(ServiceError) as excinfo:

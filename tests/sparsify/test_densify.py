@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from repro.graphs import generators
+from repro.solvers import AMGSolver
 from repro.sparsify import densify, exact_condition_number
+from repro.sparsify import state as state_module
 from repro.trees import low_stretch_tree
 
 
@@ -78,17 +80,21 @@ class TestControls:
                         max_edges_per_iteration=10**9, seed=0)
         assert loose.iterations[0].num_added >= strict.iterations[0].num_added
 
-    def test_amg_solver_method(self, grid_with_tree):
-        g, tree = grid_with_tree
-        result = densify(g, tree, sigma2=80.0, solver_method="amg", seed=0)
-        assert result.converged or result.num_edges > g.n - 1
+    def test_amg_solver_method(self, grid_with_tree, monkeypatch):
+        """Past the direct-solver size limit the loop runs on AMG."""
+        monkeypatch.setattr(state_module, "DIRECT_SOLVER_MAX_NODES", 0)
+        built = []
+        original = AMGSolver.__init__
 
-    def test_unknown_solver_rejected(self, grid_with_tree):
+        def counting_init(self, *args, **kwargs):
+            built.append(self)
+            original(self, *args, **kwargs)
+
+        monkeypatch.setattr(AMGSolver, "__init__", counting_init)
         g, tree = grid_with_tree
-        # The tree iteration uses the tree solver; force off-tree first.
-        with pytest.raises(ValueError, match="solver method"):
-            densify(g, tree, sigma2=10.0, solver_method="qr", seed=0,
-                    max_iterations=5)
+        result = densify(g, tree, sigma2=80.0, seed=0)
+        assert built
+        assert result.converged or result.num_edges > g.n - 1
 
     def test_invalid_sigma2(self, grid_with_tree):
         g, tree = grid_with_tree

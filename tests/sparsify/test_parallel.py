@@ -81,16 +81,14 @@ class TestDeterminism:
 
     @pytest.mark.parametrize("backend,workers", [
         ("serial", 1),
-        ("thread", 2),
-        ("thread", 4),
         ("process", 2),
     ])
     def test_mask_independent_of_workers(self, three_components, backend, workers):
         reference = ShardedSparsifier(
-            sigma2=SIGMA2, seed=42, workers=1, backend="serial"
+            sigma2=SIGMA2, seed=42, workers=1
         ).sparsify(three_components)
         run = ShardedSparsifier(
-            sigma2=SIGMA2, seed=42, workers=workers, backend=backend
+            sigma2=SIGMA2, seed=42, workers=workers
         ).sparsify(three_components)
         assert np.array_equal(reference.edge_mask, run.edge_mask)
         assert run.backend == backend
@@ -100,8 +98,7 @@ class TestDeterminism:
         graph = generators.grid2d(12, 12, weights="uniform", seed=7)
         masks = [
             ShardedSparsifier(
-                sigma2=SIGMA2, seed=3, workers=workers, backend="thread",
-                shard_max_nodes=50,
+                sigma2=SIGMA2, seed=3, workers=workers, shard_max_nodes=50,
             ).sparsify(graph).edge_mask
             for workers in (1, 3)
         ]
@@ -137,7 +134,7 @@ class TestDisconnectedParity:
         graph = generators.grid2d(13, 13, weights="uniform", seed=9)
         serial = SimilarityAwareSparsifier(sigma2=SIGMA2, seed=5).sparsify(graph)
         sharded = ShardedSparsifier(
-            sigma2=SIGMA2, seed=5, workers=4, backend="thread"
+            sigma2=SIGMA2, seed=5, workers=4
         ).sparsify(graph)
         assert np.array_equal(serial.edge_mask, sharded.edge_mask)
         assert np.array_equal(serial.tree_indices,
@@ -205,7 +202,7 @@ class TestBackendResolution:
         a pool backend was used."""
         graph = generators.grid2d(9, 9, weights="uniform", seed=0)
         result = ShardedSparsifier(
-            sigma2=SIGMA2, seed=0, workers=4, backend="process"
+            sigma2=SIGMA2, seed=0, workers=4
         ).sparsify(graph)
         assert result.backend == "serial"
 
@@ -220,10 +217,6 @@ class TestBackendResolution:
 
 
 class TestValidation:
-    def test_rejects_bad_backend(self):
-        with pytest.raises(ValueError, match="backend"):
-            ShardedSparsifier(backend="mpi")
-
     def test_rejects_bad_workers(self):
         with pytest.raises(ValueError, match="workers"):
             ShardedSparsifier(workers=0)

@@ -7,6 +7,7 @@ from repro.graphs import generators
 from repro.solvers import AMGSolver, DirectSolver
 from repro.trees import TreeSolver
 from repro.sparsify import SparsifierState, densify
+from repro.sparsify import state as state_module
 from repro.sparsify.edge_embedding import joule_heats
 from repro.sparsify.edge_similarity import select_dissimilar
 from repro.sparsify.filtering import filter_edges, heat_threshold
@@ -138,7 +139,7 @@ class TestSolverManagement:
 
     def test_small_batches_reuse_direct_solver(self, grid_with_tree):
         g, tree = grid_with_tree
-        state = SparsifierState(g, tree, solver_method="cholesky")
+        state = SparsifierState(g, tree)
         state.add_edges(_off_tree(state)[:4])
         solver = state.solver()
         rebuilds = state.solver_rebuilds
@@ -146,30 +147,27 @@ class TestSolverManagement:
         assert state.solver() is solver  # absorbed via Woodbury
         assert state.solver_rebuilds == rebuilds
 
-    def test_rank_budget_triggers_rebuild(self, grid_with_tree):
+    def test_rank_budget_triggers_rebuild(self, grid_with_tree, monkeypatch):
+        monkeypatch.setattr(state_module, "MAX_UPDATE_RANK", 5)
         g, tree = grid_with_tree
-        state = SparsifierState(g, tree, solver_method="cholesky",
-                                max_update_rank=5)
+        state = SparsifierState(g, tree)
         state.add_edges(_off_tree(state)[:3])
         solver = state.solver()
+        assert solver.max_update_rank == 5
         state.add_edges(_off_tree(state)[:10])  # exceeds rank 5
         assert state.solver() is not solver
 
-    def test_amg_solver_method(self, grid_with_tree):
+    def test_amg_solver_method(self, grid_with_tree, monkeypatch):
+        """Past the direct-solver size limit, non-trees get AMG."""
+        monkeypatch.setattr(state_module, "DIRECT_SOLVER_MAX_NODES", 0)
         g, tree = grid_with_tree
-        state = SparsifierState(g, tree, solver_method="amg")
+        # The pure tree factors with no fill, so it stays direct.
+        assert isinstance(SparsifierState(g, tree).solver(), DirectSolver)
+        state = SparsifierState(g, tree)
         state.add_edges(_off_tree(state)[:3])
-        assert isinstance(state.solver(), AMGSolver)
-
-    def test_unknown_method_rejected(self, grid_with_tree):
-        g, tree = grid_with_tree
-        with pytest.raises(ValueError, match="solver method"):
-            SparsifierState(g, tree, solver_method="qr")
-
-    def test_negative_update_rank_rejected(self, grid_with_tree):
-        g, tree = grid_with_tree
-        with pytest.raises(ValueError, match="max_update_rank"):
-            SparsifierState(g, tree, max_update_rank=-1)
+        solver = state.solver()
+        assert isinstance(solver, AMGSolver)
+        assert solver.rebuild_every == state_module.AMG_REBUILD_EVERY
 
 
 class TestValidation:

@@ -1,6 +1,10 @@
 """Unit tests for streaming checkpoint save/restore."""
 
+import errno
+import hashlib
 import json
+import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -144,6 +148,145 @@ class TestRemovedBackendKeys:
         _with_config(json_path, estimator_backend="perturbation")
         with pytest.raises(ValueError, match="perturbation"):
             load_dynamic(tmp_path / "ck")
+
+
+class TestRemovedSolverKeys:
+    """Checkpoints written while the solver knobs existed."""
+
+    def test_legacy_defaults_are_ignored(self, tmp_path, grid):
+        events = random_event_stream(grid, 80, seed=6, p_delete=0.4)
+        dyn = DynamicSparsifier(grid, sigma2=90.0, seed=2)
+        dyn.apply_log(events[:40], batch_size=10)
+        save_dynamic(tmp_path / "plain", dyn)
+        _, legacy_json = save_dynamic(tmp_path / "legacy", dyn)
+        _with_config(legacy_json, solver_method="auto", max_update_rank=64,
+                     amg_rebuild_every=8)
+
+        plain = load_dynamic(tmp_path / "plain")
+        legacy = load_dynamic(tmp_path / "legacy")
+        plain_reports = plain.apply_log(events[40:], batch_size=10)
+        legacy_reports = legacy.apply_log(events[40:], batch_size=10)
+        assert np.array_equal(legacy.edge_mask, plain.edge_mask)
+        assert np.array_equal(legacy.tree_indices, plain.tree_indices)
+        assert legacy.last_estimate == plain.last_estimate
+        assert legacy.solver_rebuilds == plain.solver_rebuilds
+        # NaN marks an unchecked batch; equal positions compare equal.
+        np.testing.assert_array_equal(
+            [r.sigma2_estimate for r in legacy_reports],
+            [r.sigma2_estimate for r in plain_reports],
+        )
+
+    @pytest.mark.parametrize("key, value", [
+        ("solver_method", "amg"),
+        ("solver_method", "cholesky"),
+        ("max_update_rank", 0),
+        ("amg_rebuild_every", 2),
+    ])
+    def test_other_values_are_refused(self, tmp_path, grid, key, value):
+        dyn = DynamicSparsifier(grid, sigma2=90.0, seed=2)
+        _, json_path = save_dynamic(tmp_path / "ck", dyn)
+        _with_config(json_path, **{key: value})
+        with pytest.raises(ValueError, match=key):
+            load_dynamic(tmp_path / "ck")
+
+
+def _digest(path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def _drop_digest(json_path) -> None:
+    meta = json.loads(json_path.read_text())
+    del meta["npz_sha256"]
+    json_path.write_text(json.dumps(meta))
+
+
+class TestCrashSafety:
+    """Atomic writes plus a digest that ties the npz to its json."""
+
+    def test_json_records_npz_digest(self, tmp_path, grid):
+        dyn = DynamicSparsifier(grid, sigma2=90.0, seed=0)
+        npz_path, json_path = save_dynamic(tmp_path / "ck", dyn)
+        meta = json.loads(json_path.read_text())
+        assert meta["npz_sha256"] == _digest(npz_path)
+        _, result_json = save_result(
+            tmp_path / "res", sparsify_graph(grid, sigma2=90.0, seed=0)
+        )
+        assert json.loads(result_json.read_text())["npz_sha256"] == _digest(
+            tmp_path / "res.npz"
+        )
+
+    def test_torn_dynamic_pair_is_refused(self, tmp_path, grid):
+        dyn = DynamicSparsifier(grid, sigma2=90.0, seed=0)
+        save_dynamic(tmp_path / "old", dyn)
+        dyn.apply(random_event_stream(grid, 10, seed=1))
+        new_npz, _ = save_dynamic(tmp_path / "new", dyn)
+        assert new_npz.read_bytes() != (tmp_path / "old.npz").read_bytes()
+        shutil.copyfile(new_npz, tmp_path / "old.npz")
+        with pytest.raises(ValueError, match="sha256"):
+            load_dynamic(tmp_path / "old")
+
+    def test_torn_result_pair_is_refused(self, tmp_path, grid):
+        save_result(tmp_path / "old", sparsify_graph(grid, sigma2=90.0, seed=0))
+        new_npz, _ = save_result(
+            tmp_path / "new", sparsify_graph(grid, sigma2=90.0, seed=1)
+        )
+        assert new_npz.read_bytes() != (tmp_path / "old.npz").read_bytes()
+        shutil.copyfile(new_npz, tmp_path / "old.npz")
+        with pytest.raises(ValueError, match="sha256"):
+            load_result(tmp_path / "old")
+
+    @pytest.mark.parametrize("save, load", [
+        (save_dynamic, load_dynamic),
+        (save_result, load_result),
+    ], ids=["dynamic", "result"])
+    def test_truncated_npz_is_refused(self, tmp_path, grid, save, load):
+        artifact = (DynamicSparsifier(grid, sigma2=90.0, seed=0)
+                    if save is save_dynamic
+                    else sparsify_graph(grid, sigma2=90.0, seed=0))
+        npz_path, _ = save(tmp_path / "ck", artifact)
+        payload = npz_path.read_bytes()
+        npz_path.write_bytes(payload[: len(payload) // 2])
+        with pytest.raises(ValueError, match="sha256"):
+            load(tmp_path / "ck")
+
+    @pytest.mark.parametrize("failing", ["write_bytes", "write_text"],
+                             ids=["npz-write", "json-write"])
+    def test_failed_save_keeps_previous_checkpoint(
+        self, tmp_path, grid, monkeypatch, failing
+    ):
+        """A disk that fills up mid-save leaves the previous pair
+        loadable and intact, and no temporary file behind."""
+        dyn = DynamicSparsifier(grid, sigma2=90.0, seed=0)
+        save_dynamic(tmp_path / "ck", dyn)
+        saved_mask = dyn.edge_mask.copy()
+        dyn.apply(random_event_stream(grid, 10, seed=1))
+        original = getattr(Path, failing)
+
+        def disk_full(self, data, *args, **kwargs):
+            original(self, data[: len(data) // 2], *args, **kwargs)
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(Path, failing, disk_full)
+        with pytest.raises(OSError, match="No space"):
+            save_dynamic(tmp_path / "ck", dyn)
+        monkeypatch.undo()
+
+        back = load_dynamic(tmp_path / "ck")
+        assert back.batches_applied == 0
+        assert np.array_equal(back.edge_mask, saved_mask)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["ck.json", "ck.npz"]
+
+    def test_checkpoint_without_digest_loads_unchecked(self, tmp_path, grid):
+        dyn = DynamicSparsifier(grid, sigma2=90.0, seed=0)
+        _, json_path = save_dynamic(tmp_path / "ck", dyn)
+        _drop_digest(json_path)
+        assert np.array_equal(load_dynamic(tmp_path / "ck").edge_mask,
+                              dyn.edge_mask)
+        result = sparsify_graph(grid, sigma2=90.0, seed=0)
+        _, result_json = save_result(tmp_path / "res", result)
+        _drop_digest(result_json)
+        assert np.array_equal(load_result(tmp_path / "res").edge_mask,
+                              result.edge_mask)
 
 
 class TestResultRoundTrip:

@@ -67,10 +67,6 @@ class TestConstruction:
             DynamicSparsifier(grid, drift_tolerance=0.5)
         with pytest.raises(ValueError, match="check_every"):
             DynamicSparsifier(grid, check_every=0)
-        with pytest.raises(ValueError, match="solver method"):
-            DynamicSparsifier(grid, solver_method="magic")
-        with pytest.raises(ValueError, match="max_update_rank"):
-            DynamicSparsifier(grid, max_update_rank=-1)
 
 
 class TestTier1Absorption:

@@ -93,7 +93,7 @@ class TestSparsifyDisconnected:
         parallel = tmp_path / "parallel.mtx"
         assert main(["sparsify", str(path), "-o", str(serial)]) == 0
         assert main(["sparsify", str(path), "-o", str(parallel),
-                     "--workers", "2", "--backend", "thread"]) == 0
+                     "--workers", "2"]) == 0
         a = load_graph_matrix_market(serial)
         b = load_graph_matrix_market(parallel)
         assert a == b  # worker count must not change the sparsifier
@@ -260,7 +260,9 @@ class TestExitCodes:
         log = tmp_path / "missing.jsonl"
         assert main(["stream", str(log)]) == 2  # neither --graph nor --resume
 
-    @pytest.mark.parametrize("flag", ["--kernel-backend", "--estimator-backend"])
+    @pytest.mark.parametrize(
+        "flag", ["--kernel-backend", "--estimator-backend", "--backend"]
+    )
     def test_removed_backend_flags_are_usage_errors(self, graph_file, tmp_path,
                                                     flag, capsys):
         path, _ = graph_file
