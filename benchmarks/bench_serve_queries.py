@@ -13,6 +13,11 @@ answers.  The warm per-query loop (shared factorization, one solve per
 query) is also reported, isolating the artifact-reuse win from the
 multi-RHS coalescing win.
 
+A second, layer-level check times the pair-row resistance path
+(:meth:`~repro.solvers.DirectSolver.pair_resistances`, which the engine
+uses with the direct solver) against solve-and-gather on the same warm
+solver, at a Woodbury rank the serving tier reaches under event churn.
+
 Run explicitly (benchmarks are not collected by the default test run):
 
     PYTHONPATH=src python -m pytest benchmarks/bench_serve_queries.py -v -s
@@ -33,6 +38,10 @@ from repro.sparsify import exact_effective_resistances
 from repro.stream import DynamicSparsifier, random_event_stream
 
 SIGMA2 = 100.0
+
+#: Full-mode floor of the pair-row path's speed-up over solve-and-gather
+#: for 8-pair queries on grid2d(100, 100) at Woodbury rank >= 32.
+PAIR_ROW_SPEEDUP_FLOOR = 1.3
 
 
 def _query_pairs(n, count, rng):
@@ -96,6 +105,60 @@ def test_batched_engine_beats_per_query_solves(scale, smoke, record):
            batched_s=t_batched, speedup=speedup)
     if not smoke:
         assert speedup >= 5.0
+
+
+class _SolveOnly:
+    """Hides ``pair_resistances``: resistances take solve-and-gather."""
+
+    def __init__(self, inner):
+        self._inner = inner
+
+    def solve(self, rhs):
+        return self._inner.solve(rhs)
+
+
+def test_pair_rows_beat_solve_and_gather(smoke, record):
+    """8-pair resistance queries read at the pair rows beat a full
+    solve-and-gather on the same solver at Woodbury rank >= 32, with
+    the same answers to 1e-12."""
+    side = 30 if smoke else 100
+    reps = 10 if smoke else 150
+    graph = generators.grid2d(side, side, weights="uniform", seed=4)
+    dyn = DynamicSparsifier(graph, sigma2=SIGMA2, seed=0)
+    engine = QueryEngine(dyn)
+    rng = np.random.default_rng(11)
+    engine.resistance(_query_pairs(graph.n, 8, rng))  # warm the solver
+    events = random_event_stream(graph, 2000, seed=3)
+    for start in range(0, len(events), 4):
+        if dyn.solver().update_rank >= 32:
+            break
+        dyn.apply(events[start : start + 4])
+    rank = dyn.solver().update_rank
+    assert rank >= 32
+    generic = _SolveOnly(dyn.solver())
+
+    t_pair, t_gather = [], []
+    for _ in range(reps):
+        pairs = _query_pairs(graph.n, 8, rng)
+        start = time.perf_counter()
+        fast = engine.resistance(pairs)
+        t_pair.append(time.perf_counter() - start)
+        start = time.perf_counter()
+        slow = exact_effective_resistances(dyn.graph, pairs, solver=generic)
+        t_gather.append(time.perf_counter() - start)
+        assert np.allclose(fast, slow, rtol=1e-12, atol=0)
+    pair_ms = 1e3 * float(np.median(t_pair))
+    gather_ms = 1e3 * float(np.median(t_gather))
+    speedup = gather_ms / max(pair_ms, 1e-12)
+    print(
+        f"\ngrid2d({side}x{side}) at Woodbury rank {rank}, 8-pair "
+        f"resistance: solve-and-gather {gather_ms:.2f} ms vs pair rows "
+        f"{pair_ms:.2f} ms ({speedup:.2f}x, medians of {reps})"
+    )
+    record("serve_queries", pair_rank=rank, pair_rows_ms=pair_ms,
+           solve_gather_ms=gather_ms, pair_speedup=speedup)
+    if not smoke:
+        assert speedup >= PAIR_ROW_SPEEDUP_FLOOR
 
 
 def test_http_latency_quantiles_from_metrics(smoke, record, tmp_path):

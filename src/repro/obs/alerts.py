@@ -21,6 +21,15 @@ Four rule kinds cover the signals the instrumented layers emit:
   the threshold (eviction churn per registry event, tier-3 redensify
   repairs per streaming batch).
 
+A label filter selects the children that agree with every label it
+names; labels it leaves out match any value, so
+``(("status", "500"),)`` on a family labelled ``endpoint, status``
+selects the 500s of every endpoint.  The selected children are summed
+for counters (and for both sides of a ratio) and the worst one decides
+for gauges and quantiles.  A filter naming a label the family does not
+have fails its rule rather than matching nothing: a misspelt filter
+must not pass silently.
+
 A rule whose metric is absent from the snapshot passes: no traffic is
 not an outage.  ``min_count`` guards quantile and ratio rules against
 flapping on a handful of samples.
@@ -62,15 +71,17 @@ class AlertRule:
     threshold:
         The ceiling the observed value must not exceed.
     labels:
-        Label filter as a tuple of ``(name, value)`` pairs; ``None``
-        evaluates across all children (sum for counters, worst child
-        for gauges/quantiles).
+        Label filter as a tuple of ``(name, value)`` pairs, naming any
+        subset of the family's labels; ``None`` selects all children.
+        The selected children are summed for counters and the worst
+        one decides for gauges/quantiles.
     quantile:
         Quantile for ``quantile_max`` rules (default 0.99).
     denominator:
         Denominator counter family for ``ratio_max`` rules.
     denominator_labels:
-        Label filter for the denominator; ``None`` sums all children.
+        Label filter for the denominator, matched like ``labels``;
+        ``None`` sums all children.
     min_count:
         Minimum sample count (histogram observations or denominator
         total) before the rule is allowed to fail.
@@ -175,23 +186,39 @@ class HealthReport:
         }
 
 
-def _labels_key(labelnames: list, labels: tuple) -> str | None:
-    """Snapshot child key for a label filter, or None on mismatch."""
-    values = dict(labels)
-    if set(values) != set(labelnames):
-        return None
-    return json.dumps([str(values[name]) for name in labelnames])
+def _unknown_labels(entry: dict, labels: tuple | None) -> list:
+    """Labels a filter names that the family does not have."""
+    labelnames = entry.get("labelnames", [])
+    return [name for name, _ in labels or () if name not in labelnames]
 
 
-def _scalar_children(entry: dict, labels: tuple | None) -> list:
-    """``(key, value)`` pairs of a counter/gauge entry under a filter."""
+def _refused(
+    rule: AlertRule, metric: str, entry: dict, unknown: list
+) -> AlertResult:
+    """The failing verdict of a filter naming labels ``metric`` lacks."""
+    return AlertResult(
+        rule=rule.name, ok=False, value=None, threshold=rule.threshold,
+        detail=(
+            f"label filter names {', '.join(unknown)}, which {metric} "
+            f"does not have (its labels: "
+            f"{', '.join(entry.get('labelnames', [])) or 'none'})"
+        ),
+    )
+
+
+def _matching_children(entry: dict, labels: tuple | None) -> list:
+    """``(key, value)`` children that agree with every filtered label."""
     values = entry.get("values", {})
-    if labels is None:
+    if not labels:
         return list(values.items())
-    key = _labels_key(entry.get("labelnames", []), labels)
-    if key is None or key not in values:
-        return []
-    return [(key, values[key])]
+    labelnames = entry.get("labelnames", [])
+    wanted = [(labelnames.index(name), str(value)) for name, value in labels]
+    matched = []
+    for key, value in values.items():
+        parts = json.loads(key)
+        if all(parts[i] == want for i, want in wanted):
+            matched.append((key, value))
+    return matched
 
 
 def _pretty_key(key: str, labelnames: list) -> str:
@@ -227,6 +254,9 @@ def evaluate(rule: AlertRule, snapshot: dict) -> AlertResult:
             rule=rule.name, ok=True, value=None, threshold=rule.threshold,
             detail=f"{rule.metric} absent (no traffic)",
         )
+    unknown = _unknown_labels(entry, rule.labels)
+    if unknown:
+        return _refused(rule, rule.metric, entry, unknown)
     if rule.kind == "gauge_max":
         return _evaluate_scalar(rule, entry, worst=max)
     if rule.kind == "counter_max":
@@ -238,7 +268,7 @@ def evaluate(rule: AlertRule, snapshot: dict) -> AlertResult:
 
 def _evaluate_scalar(rule: AlertRule, entry: dict, worst) -> AlertResult:
     """Evaluate gauge_max (worst child) or counter_max (summed)."""
-    children = _scalar_children(entry, rule.labels)
+    children = _matching_children(entry, rule.labels)
     if not children:
         return AlertResult(
             rule=rule.name, ok=True, value=None, threshold=rule.threshold,
@@ -270,7 +300,7 @@ def _evaluate_quantile(rule: AlertRule, entry: dict) -> AlertResult:
         )
     labelnames = entry.get("labelnames", [])
     worst_value, worst_key, skipped = None, None, 0
-    for key, payload in _scalar_children(entry, rule.labels):
+    for key, payload in _matching_children(entry, rule.labels):
         count = int(payload.get("count", 0))
         if count < max(rule.min_count, 1):
             skipped += 1
@@ -307,7 +337,7 @@ def _evaluate_ratio(
 ) -> AlertResult:
     """Evaluate ratio_max: numerator / denominator counters."""
     numerator = float(
-        sum(v for _, v in _scalar_children(entry, rule.labels))
+        sum(v for _, v in _matching_children(entry, rule.labels))
     )
     denom_entry = snapshot.get(rule.denominator)
     if not isinstance(denom_entry, dict):
@@ -315,9 +345,12 @@ def _evaluate_ratio(
             rule=rule.name, ok=True, value=None, threshold=rule.threshold,
             detail=f"{rule.denominator} absent (no traffic)",
         )
+    unknown = _unknown_labels(denom_entry, rule.denominator_labels)
+    if unknown:
+        return _refused(rule, rule.denominator, denom_entry, unknown)
     denominator = float(
         sum(
-            v for _, v in _scalar_children(
+            v for _, v in _matching_children(
                 denom_entry, rule.denominator_labels
             )
         )
@@ -392,7 +425,14 @@ def default_serving_rules(
     Returns
     -------
     tuple
-        Four :class:`AlertRule` objects, evaluated in this order.
+        Five :class:`AlertRule` objects, evaluated in this order.  The
+        fifth, ``http_server_errors``, tolerates no ``500`` in
+        ``repro_http_errors_total`` over any endpoint: a 500 is the
+        server's own fault (a bug, or a spilled artifact that no longer
+        loads), unlike the 4xx answers to bad requests.  The counter is
+        never reset, so after one 500 the rule fails until the process
+        restarts.  A deployment that wants a budget passes its own
+        rules.
     """
     return (
         AlertRule(
@@ -432,5 +472,13 @@ def default_serving_rules(
             denominator="repro_stream_batches_total",
             min_count=10,
             description="redensify repairs per streaming batch",
+        ),
+        AlertRule(
+            name="http_server_errors",
+            kind="counter_max",
+            metric="repro_http_errors_total",
+            labels=(("status", "500"),),
+            threshold=0,
+            description="HTTP 500 answers over every endpoint",
         ),
     )

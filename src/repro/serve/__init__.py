@@ -19,6 +19,7 @@ Entry point: ``python -m repro serve`` (see :mod:`repro.cli`).
 
 from repro.serve.engine import EngineStats, QueryEngine
 from repro.serve.registry import (
+    ArtifactReloadError,
     RegistryEntry,
     RegistryStats,
     SparsifierRegistry,
@@ -28,6 +29,7 @@ from repro.serve.registry import (
 from repro.serve.service import ServeClient, ServiceError, SparsifierService
 
 __all__ = [
+    "ArtifactReloadError",
     "EngineStats",
     "QueryEngine",
     "RegistryEntry",

@@ -10,10 +10,16 @@ surface: it holds a :class:`~repro.stream.DynamicSparsifier` and its
 warm factorized solver and turns queries into multi-RHS solves:
 :meth:`QueryEngine.resistance`, :meth:`~QueryEngine.solve`,
 :meth:`~QueryEngine.similarity` and :meth:`~QueryEngine.embedding`
-coalesce the columns *within* one call into batched multi-RHS solves
-(the same trick
-:func:`~repro.sparsify.effective_resistance.exact_effective_resistances`
-uses per call).
+coalesce the columns *within* one call into batched multi-RHS solves.
+Resistance and similarity answers go through
+:func:`~repro.sparsify.effective_resistance.exact_effective_resistances`,
+which asks the direct solver for the pair-row quadratic forms
+(:meth:`~repro.solvers.DirectSolver.pair_resistances`): one triangular
+solve of the pair indicators, read and Woodbury-corrected at the pair
+rows only.  A ``k``-pair query thus skips the two column-mean
+projections, the re-centering and the ``n × rank × k`` Woodbury product
+of a full solve, and its cost does not grow with the accumulated
+Woodbury rank.  :meth:`~QueryEngine.solve` returns the full block.
 
 Freshness: the engine watches the dynamic sparsifier's
 :attr:`~repro.stream.DynamicSparsifier.state_token` and drops derived
@@ -133,10 +139,10 @@ class QueryEngine:
     def resistance(self, pairs: np.ndarray) -> np.ndarray:
         """Effective resistance of vertex pairs against the sparsifier.
 
-        One batched multi-RHS solve per ``batch_size`` distinct pairs;
-        ``u == v`` pairs short-circuit to ``0.0``.  Answers are exact
-        for ``L_P`` and within the σ² certificate of the host graph's
-        resistances.
+        One batched multi-RHS solve per ``batch_size`` distinct pairs,
+        read at the pair rows only; ``u == v`` pairs short-circuit to
+        ``0.0``.  Answers are exact for ``L_P`` and within the σ²
+        certificate of the host graph's resistances.
 
         Parameters
         ----------

@@ -67,6 +67,7 @@ from repro.stream.dynamic import BatchReport, DynamicSparsifier
 from repro.stream.events import EdgeEvent
 
 __all__ = [
+    "ArtifactReloadError",
     "RegistryEntry",
     "RegistryStats",
     "SparsifierRegistry",
@@ -130,6 +131,17 @@ def artifact_key(fingerprint: str, params: dict) -> str:
     digest.update(fingerprint.encode("ascii"))
     digest.update(json.dumps(params, sort_keys=True).encode("utf-8"))
     return digest.hexdigest()[:16]
+
+
+class ArtifactReloadError(RuntimeError):
+    """A spilled artifact's checkpoint no longer loads.
+
+    The spool is the server's own storage, so a checkpoint that is
+    missing, unreadable, torn or corrupt is a server fault, not a bad
+    request.  The message names only the artifact key; the loader's
+    error, with the spool path, is chained as ``__cause__`` for the
+    server log.
+    """
 
 
 @dataclass
@@ -419,13 +431,24 @@ class SparsifierRegistry:
         ------
         KeyError
             If the key is unknown.
+        ArtifactReloadError
+            If the entry is spilled and its checkpoint does not load
+            (missing, unreadable, or failing its digest).  The entry
+            stays registered and spilled.
         """
         with self._lock:
             entry = self._entries.get(key)
             if entry is None:
                 raise KeyError(f"unknown artifact key {key!r}")
             if not entry.resident:
-                dyn = load_dynamic(self.spool_dir / key)
+                try:
+                    dyn = load_dynamic(self.spool_dir / key)
+                except Exception as exc:
+                    # Whatever the loader raises, the spool is the
+                    # server's storage: never let it read as a 4xx.
+                    raise ArtifactReloadError(
+                        f"spilled artifact {key} could not be reloaded"
+                    ) from exc
                 if entry.profile_snapshot is not None:
                     dyn.profile = PipelineProfile.from_dict(
                         entry.profile_snapshot

@@ -58,13 +58,19 @@ the same parser (:func:`repro.stream.events.event_from_record`):
 (``w`` absent on deletes), so a captured log line can be POSTed
 verbatim.
 
-Error mapping: malformed JSON or a :class:`ValueError`,
-:class:`TypeError` or :class:`OverflowError` from the layers below →
-``400``; an unknown artifact key or route → ``404``; a body longer than
-:data:`MAX_BODY_BYTES` → ``413`` (refused before reading it); any other
-exception → ``500``, with its traceback logged.  The response body is
-``{"error": message}``, and every response with a status ≥ 400 bumps
-``repro_http_errors_total{endpoint,status}``.
+Error mapping: malformed JSON, a body that is not a JSON object, or a
+:class:`ValueError`, :class:`TypeError` or :class:`OverflowError` from
+the layers below → ``400``; an unknown artifact key or route → ``404``;
+a body longer than :data:`MAX_BODY_BYTES` → ``413`` (refused before
+reading it); any other exception → ``500`` with the body ``{"error":
+"internal server error"}``, its traceback logged.  A spilled artifact
+whose checkpoint no longer loads is one of these
+(:class:`~repro.serve.registry.ArtifactReloadError`): the spool is the
+server's own storage, and its paths stay in the log.  Other error
+bodies are ``{"error": message}``.  Every response with a status ≥ 400
+bumps ``repro_http_errors_total{endpoint,status}``, which the default
+``http_server_errors`` alert rule reads for 500s: after one, ``GET
+/health`` answers 503 until the process restarts.
 
 :class:`ServeClient` is the matching in-process client (stdlib
 ``urllib``), used by the CLI, the tests and the benchmark.
@@ -428,6 +434,10 @@ class SparsifierService:
         handler = routes.get(path)
         if handler is None:
             raise KeyError(f"unknown path {path!r}")
+        if not isinstance(payload, dict):
+            # Valid JSON, but every route reads named fields: a bare
+            # array, string or number is the client's error, not a 500.
+            raise TypeError("request body must be a JSON object")
         return handler(payload)
 
     @staticmethod

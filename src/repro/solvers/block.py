@@ -11,7 +11,10 @@ funnels through :func:`block_solve` here.  That buys two things:
   construction in one place stops the pipeline and the engine from
   growing divergent copies.
 - **One accounting point.**  Each :func:`block_solve` call bumps the
-  ``repro_solver_solves_total{solver,caller}`` counter exactly once,
+  ``repro_solver_solves_total{solver,caller}`` counter exactly once
+  (resistance queries on a direct solver, which solve through
+  :meth:`~repro.solvers.DirectSolver.pair_resistances` instead, count
+  through :func:`record_solve` once per block alike),
   so ``obs report`` / ``obs diff`` can attribute the solve *count*
   (not just solve seconds) to the subsystem that paid it.  A batched
   ``k``-column solve deliberately counts **once** — the counter

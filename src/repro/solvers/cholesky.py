@@ -47,7 +47,11 @@ costs ``b`` triangular solves, an ``O(k·b)`` gather for the new
 capacitance blocks and an ``O((k+b)³)`` dense capacitance
 factorization.  A solve with ``m`` right-hand sides costs the bare
 triangular solves plus an ``O(k·m)`` gather, a ``k × k`` capacitance
-solve and an ``O(n·k·m)`` product with ``Z``.
+solve and an ``O(n·k·m)`` product with ``Z``.  The quadratic forms
+``(e_u − e_v)ᵀ A⁺ (e_u − e_v)`` of ``m`` vertex pairs
+(:meth:`DirectSolver.pair_resistances`) need the solution only at the
+pair rows, so they skip that product: the bare triangular solves, a
+two-row gather of ``Z`` per pair and the capacitance solve.
 
 Positive deltas are edge additions / weight increases; *negative*
 deltas encode weight decreases and edge deletions (delta ``−w`` removes
@@ -75,7 +79,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.sparse.csgraph import connected_components
 
-from repro.obs import get_metrics
+from repro.obs import get_metrics, get_tracer
 from repro.utils.memory import factor_nbytes
 from repro.utils.validation import check_square
 
@@ -107,6 +111,20 @@ def _incidence_t(x: np.ndarray, pos: np.ndarray, sign: np.ndarray) -> np.ndarray
     column would give.
     """
     return sign[0][:, None] * x[pos[0]] - sign[1][:, None] * x[pos[1]]
+
+
+def _indicator_block(rows: int, pos: np.ndarray, sign: np.ndarray) -> np.ndarray:
+    """The dense ``(rows, k)`` block ``U`` of the columns ``(pos, sign)``.
+
+    Column i holds ``sign[0, i]`` at row ``pos[0, i]`` and
+    ``−sign[1, i]`` at row ``pos[1, i]``; :func:`_incidence_t` is its
+    transpose product.
+    """
+    cols = np.arange(pos.shape[1])
+    block = np.zeros((rows, pos.shape[1]), order="F")
+    block[pos[0], cols] += sign[0]
+    block[pos[1], cols] -= sign[1]
+    return block
 
 
 class DirectSolver:
@@ -296,11 +314,7 @@ class DirectSolver:
             return self._request_refactor()
         pos, sign = self._kept_rows(np.stack([u, v]))
         rank = self.update_rank
-        cols = np.arange(u.size)
-        U_new = np.zeros((self._lu.shape[0], u.size), dtype=np.float64)
-        U_new[pos[0], cols] += sign[0]
-        U_new[pos[1], cols] -= sign[1]
-        Z_new = self._lu.solve(U_new)
+        Z_new = self._lu.solve(_indicator_block(self._lu.shape[0], pos, sign))
         new_block = np.diag(1.0 / w) + _incidence_t(Z_new, pos, sign)
         if rank == 0:
             capacitance = new_block
@@ -377,17 +391,70 @@ class DirectSolver:
         pos = np.where(grounded, 0, ends - (ends > self.ground_vertex))
         return pos, (~grounded).astype(np.float64)
 
+    def _capacitance_solve(self, rhs: np.ndarray) -> np.ndarray:
+        """``C⁻¹ rhs`` for the factored Woodbury capacitance ``C``."""
+        if self._cap_is_cholesky:
+            return scipy.linalg.cho_solve(self._update_cap, rhs)
+        return scipy.linalg.lu_solve(self._update_cap, rhs)
+
     def _base_solve(self, rhs: np.ndarray) -> np.ndarray:
         """Factorized solve plus the accumulated Woodbury correction."""
         x = self._lu.solve(rhs)
         if self._update_cap is not None:
             compressed = _incidence_t(x, self._update_pos, self._update_sign)
-            if self._cap_is_cholesky:
-                correction = scipy.linalg.cho_solve(self._update_cap, compressed)
-            else:
-                correction = scipy.linalg.lu_solve(self._update_cap, compressed)
+            correction = self._capacitance_solve(compressed)
             x = x - self._update_Z[:, : self.update_rank] @ correction
         return x
+
+    def pair_resistances(self, pairs: np.ndarray) -> np.ndarray:
+        """Quadratic forms ``(e_u − e_v)ᵀ A⁺ (e_u − e_v)`` of vertex pairs.
+
+        The effective resistances of the pairs when the matrix is a
+        Laplacian.  One ``k``-column triangular solve of the pair
+        indicators, read and corrected only at the pair rows: with
+        ``y = A⁻¹ b`` and ``g = Zᵀ b`` (two row gathers of ``Z``), the
+        answer is ``bᵀ y − gᵀ C⁻¹ g`` for the factored Woodbury
+        capacitance ``C``.  ``e_u − e_v`` is mean-free, so the grounded
+        form equals the pseudoinverse one, and the projections, the
+        re-centering and the ``n × rank`` product of :meth:`solve` are
+        not needed.  The result agrees with gathering ``x[u] − x[v]``
+        from :meth:`solve` to rounding.
+
+        Parameters
+        ----------
+        pairs:
+            ``(k, 2)`` integer vertex pairs, each endpoint in
+            ``[0, n)``.
+
+        Returns
+        -------
+        numpy.ndarray
+            One value per pair; ``0.0`` for a pair ``(u, u)``.
+
+        Raises
+        ------
+        ValueError
+            If ``pairs`` is not a ``(k, 2)`` array or an endpoint lies
+            outside ``[0, n)``.
+        """
+        pairs = np.asarray(pairs, dtype=np.int64)
+        if pairs.ndim != 2 or pairs.shape[1] != 2:
+            raise ValueError(f"pairs must be a (k, 2) array, got shape {pairs.shape}")
+        if pairs.size and (pairs.min() < 0 or pairs.max() >= self.n):
+            raise ValueError(f"pair endpoint out of range [0, {self.n})")
+        k = pairs.shape[0]
+        with get_tracer().span("solvers.solve", category="solver", columns=k):
+            if self._lu is None or k == 0:
+                return np.zeros(k)
+            pos, sign = self._kept_rows(pairs.T)
+            y = self._lu.solve(_indicator_block(self._lu.shape[0], pos, sign))
+            cols = np.arange(k)
+            values = sign[0] * y[pos[0], cols] - sign[1] * y[pos[1], cols]
+            if self._update_cap is not None:
+                g = _incidence_t(self._update_Z[:, : self.update_rank], pos, sign)
+                h = self._capacitance_solve(g.T)
+                values = values - np.einsum("ij,ji->i", g, h)
+        return values
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         """Solve for one vector or each column of a matrix.

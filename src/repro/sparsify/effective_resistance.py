@@ -3,8 +3,8 @@
 The Spielman–Srivastava sparsifier [17] — the sampling baseline the
 paper compares its deterministic filtering against — needs the effective
 resistance ``R_eff(u, v) = (e_u − e_v)ᵀ L⁺ (e_u − e_v)`` of every edge.
-Exact values come from one Laplacian solve per probed pair; the JL
-sketch gets all of them from ``O(log n / ε²)`` solves.
+Exact values come from one Laplacian solve column per probed pair; the
+JL sketch gets all of them from ``O(log n / ε²)`` solves.
 
 Both entry points accept arbitrary vertex pairs — not just edges — so
 the serving layer (:mod:`repro.serve`) can answer resistance queries
@@ -19,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.graphs.graph import Graph
-from repro.solvers.block import block_solve, pair_indicator_columns
+from repro.solvers.block import block_solve, pair_indicator_columns, record_solve
 from repro.solvers.cholesky import DirectSolver
 from repro.utils.rng import as_rng
 from repro.utils.validation import as_index_array
@@ -75,6 +75,19 @@ def exact_effective_resistances(
 ) -> np.ndarray:
     """Exact effective resistance of vertex pairs (default: every edge).
 
+    Every ``batch_size`` distinct pairs cost one counted multi-RHS
+    solve (``repro_solver_solves_total{caller="resistance"}``).  With a
+    :class:`~repro.solvers.DirectSolver` (the default, and every
+    sparsifier up to ``DIRECT_SOLVER_MAX_NODES`` vertices) that solve is
+    :meth:`~repro.solvers.DirectSolver.pair_resistances`, which reads
+    the answer at the pair rows after the triangular solve, skipping
+    the column-mean projections, the re-centering and the
+    ``n × rank × k`` Woodbury product of a full solve.  Any other
+    solver (AMG on larger graphs, or a wrapper) gets the indicator
+    block through ``solve`` and the answer is gathered as
+    ``x[u] − x[v]``.  Both give the same values to
+    rounding.
+
     Parameters
     ----------
     graph:
@@ -84,7 +97,8 @@ def exact_effective_resistances(
         Degenerate ``u == v`` pairs are answered ``0.0`` without a
         solve column.
     solver:
-        Reusable factorization of the graph Laplacian.
+        Reusable factorization of the graph Laplacian, or any solver
+        with a ``solve`` method.
     batch_size:
         Pairs solved per batched multi-RHS solve (memory control).
 
@@ -111,10 +125,14 @@ def exact_effective_resistances(
     for start in range(0, distinct.size, batch_size):
         sel = distinct[start : start + batch_size]
         chunk = pairs[sel]
-        rhs = pair_indicator_columns(graph.n, chunk)
-        x = block_solve(solver, rhs, caller="resistance")
-        cols = np.arange(chunk.shape[0])
-        out[sel] = x[chunk[:, 0], cols] - x[chunk[:, 1], cols]
+        if isinstance(solver, DirectSolver):
+            record_solve(solver, "resistance")
+            out[sel] = solver.pair_resistances(chunk)
+        else:
+            rhs = pair_indicator_columns(graph.n, chunk)
+            x = block_solve(solver, rhs, caller="resistance")
+            cols = np.arange(chunk.shape[0])
+            out[sel] = x[chunk[:, 0], cols] - x[chunk[:, 1], cols]
     return out
 
 

@@ -24,6 +24,27 @@ def _isolated_observability():
     obs.configure(tracer=tracer, metrics=metrics)
 
 
+class _SolveOnly:
+    """A solver seen only through its ``solve`` method."""
+
+    def __init__(self, inner):
+        self._inner = inner
+
+    def solve(self, rhs):
+        return self._inner.solve(rhs)
+
+
+@pytest.fixture
+def solve_only():
+    """Wrap a solver so that only its ``solve`` method shows.
+
+    Callers that have a fast path for a concrete solver class
+    (``DirectSolver.pair_resistances``) then take their generic
+    solve-and-gather route on the same factorization.
+    """
+    return _SolveOnly
+
+
 @pytest.fixture
 def rng() -> np.random.Generator:
     """Deterministic RNG for tests."""

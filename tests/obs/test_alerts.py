@@ -107,6 +107,127 @@ class TestGaugeAndCounterRules:
         assert evaluate(rule, registry.snapshot()).ok
 
 
+class TestPartialLabelFilters:
+    """A filter naming some of a family's labels selects every child
+    that agrees on those labels."""
+
+    def _errors(self):
+        registry = MetricsRegistry()
+        errors = registry.counter(
+            "repro_http_errors_total", labelnames=("endpoint", "status")
+        )
+        errors.inc(2, endpoint="/query/resistance", status="500")
+        errors.inc(1, endpoint="/events", status="500")
+        errors.inc(7, endpoint="/events", status="400")
+        return registry
+
+    def test_counter_sums_matching_children(self):
+        rule = AlertRule(name="5xx", kind="counter_max",
+                         metric="repro_http_errors_total",
+                         labels=(("status", "500"),), threshold=0)
+        result = evaluate(rule, self._errors().snapshot())
+        assert not result.ok
+        assert result.value == pytest.approx(3.0)
+
+    def test_full_filter_still_selects_one_child(self):
+        rule = AlertRule(name="5xx", kind="counter_max",
+                         metric="repro_http_errors_total",
+                         labels=(("status", "500"), ("endpoint", "/events")),
+                         threshold=0)
+        assert evaluate(rule, self._errors().snapshot()).value == 1.0
+
+    def test_no_matching_child_passes(self):
+        rule = AlertRule(name="5xx", kind="counter_max",
+                         metric="repro_http_errors_total",
+                         labels=(("status", "503"),), threshold=0)
+        result = evaluate(rule, self._errors().snapshot())
+        assert result.ok and result.value is None
+
+    def test_gauge_worst_matching_child(self):
+        registry = MetricsRegistry()
+        gauge = registry.gauge("repro_lag", labelnames=("shard", "zone"))
+        gauge.set(0.5, shard="0", zone="a")
+        gauge.set(4.0, shard="1", zone="a")
+        gauge.set(9.0, shard="2", zone="b")
+        rule = AlertRule(name="lag", kind="gauge_max", metric="repro_lag",
+                         labels=(("zone", "a"),), threshold=1.0)
+        result = evaluate(rule, registry.snapshot())
+        assert result.value == 4.0
+        assert "shard=1" in result.detail
+
+    def test_quantile_worst_matching_child(self):
+        registry = MetricsRegistry()
+        hist = registry.histogram(
+            "repro_req_seconds", labelnames=("endpoint", "method")
+        )
+        for _ in range(40):
+            hist.observe(0.01, endpoint="/a", method="POST")
+            hist.observe(3.0, endpoint="/b", method="POST")
+            hist.observe(9.0, endpoint="/c", method="GET")
+        rule = AlertRule(name="p99", kind="quantile_max",
+                         metric="repro_req_seconds",
+                         labels=(("method", "POST"),), threshold=0.5,
+                         min_count=30)
+        result = evaluate(rule, registry.snapshot())
+        assert not result.ok
+        assert "endpoint=/b" in result.detail
+
+    def test_ratio_filters_both_sides(self):
+        registry = self._errors()
+        requests = registry.counter(
+            "repro_requests_total", labelnames=("endpoint", "method")
+        )
+        requests.inc(10, endpoint="/events", method="POST")
+        requests.inc(90, endpoint="/stats", method="GET")
+        rule = AlertRule(name="5xx share", kind="ratio_max",
+                         metric="repro_http_errors_total",
+                         labels=(("status", "500"),),
+                         denominator="repro_requests_total",
+                         denominator_labels=(("method", "POST"),),
+                         threshold=0.5)
+        result = evaluate(rule, registry.snapshot())
+        assert result.value == pytest.approx(3 / 10)
+
+    @pytest.mark.parametrize("side", ["numerator", "denominator"])
+    def test_filter_naming_an_absent_label_fails(self, side):
+        registry = self._errors()
+        registry.counter("repro_requests_total",
+                         labelnames=("endpoint",)).inc(5, endpoint="/events")
+        bad = (("code", "500"),)
+        rule = AlertRule(
+            name="typo", kind="ratio_max", metric="repro_http_errors_total",
+            labels=bad if side == "numerator" else None,
+            denominator="repro_requests_total",
+            denominator_labels=bad if side == "denominator" else None,
+            threshold=1e9,
+        )
+        result = evaluate(rule, registry.snapshot())
+        assert not result.ok
+        assert "code" in result.detail
+
+    def test_counter_filter_naming_an_absent_label_fails(self):
+        rule = AlertRule(name="typo", kind="counter_max",
+                         metric="repro_http_errors_total",
+                         labels=(("code", "500"),), threshold=1e9)
+        result = evaluate(rule, self._errors().snapshot())
+        assert not result.ok
+        assert "endpoint, status" in result.detail
+
+    def test_default_server_error_rule(self):
+        rules = {r.name: r for r in default_serving_rules()}
+        result = evaluate(rules["http_server_errors"], self._errors().snapshot())
+        assert not result.ok
+        assert result.value == pytest.approx(3.0)
+
+    def test_client_errors_do_not_trip_the_server_error_rule(self):
+        registry = MetricsRegistry()
+        registry.counter(
+            "repro_http_errors_total", labelnames=("endpoint", "status")
+        ).inc(50, endpoint="/query/resistance", status="400")
+        report = evaluate_rules(default_serving_rules(), registry.snapshot())
+        assert report.healthy
+
+
 class TestQuantileRules:
     def _registry(self, slow_endpoint_samples=0):
         registry = MetricsRegistry()
@@ -201,6 +322,7 @@ class TestHealthReport:
         assert names == [
             "stream_drift_ratio", "http_p99_latency",
             "registry_eviction_churn", "stream_tier3_repairs",
+            "http_server_errors",
         ]
         payload = report.as_dict()
         assert payload["healthy"] is False

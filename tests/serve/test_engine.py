@@ -44,6 +44,25 @@ class TestResistance:
         with pytest.raises(ValueError, match=r"\(k, 2\)"):
             engine.resistance([0, 1, 2])
 
+    def test_matches_generic_solve_path_after_events(self, engine, solve_only):
+        """The pair-row answers equal solve-and-gather on the same warm
+        solver, with Woodbury updates absorbed."""
+        dyn = engine.dynamic
+        engine.resistance([[0, 1]])  # warm the solver the batch updates
+        dyn.apply([EdgeInsert(0, 57, 2.0), EdgeInsert(1, 98, 0.5)])
+        assert dyn.solver().update_rank > 0
+        g = dyn.graph
+        pairs = np.column_stack([g.u[::7], g.v[::7]])
+        generic = exact_effective_resistances(
+            g, pairs, solver=solve_only(dyn.solver())
+        )
+        np.testing.assert_allclose(
+            engine.resistance(pairs), generic, rtol=1e-12, atol=0
+        )
+        np.testing.assert_allclose(
+            engine.similarity(pairs), g.w[::7] * generic, rtol=1e-12, atol=0
+        )
+
     def test_internal_batching_consistent(self, grid):
         small = QueryEngine(
             DynamicSparsifier(grid, sigma2=SIGMA2, seed=0), batch_size=3

@@ -12,6 +12,7 @@ import pytest
 from repro.graphs import generators
 from repro.obs import get_metrics
 from repro.serve import (
+    ArtifactReloadError,
     ServeClient,
     ServiceError,
     SparsifierRegistry,
@@ -164,6 +165,23 @@ class TestErrors:
         with pytest.raises(ServiceError) as excinfo:
             client.register(grid, sigma2=SIGMA2, bogus_knob=1)
         assert excinfo.value.status == 400
+
+    @pytest.mark.parametrize("body", [[], 5, "x"], ids=["array", "number", "string"])
+    def test_non_object_body_is_400(self, client, body):
+        """Valid JSON that is not an object is refused before any route
+        handler reads a field from it, and counted as a 400."""
+        paths = ["/graphs", "/query/resistance", "/query/similarity",
+                 "/query/solve", "/query/embedding", "/events"]
+        before = _http_errors()
+        for path in paths:
+            with pytest.raises(ServiceError) as excinfo:
+                client._request("POST", path, body)
+            assert excinfo.value.status == 400
+            assert "JSON object" in str(excinfo.value)
+        after = _http_errors()
+        bumped = {k: after[k] - before.get(k, 0.0)
+                  for k in after if after[k] != before.get(k, 0.0)}
+        assert bumped == {(path, "400"): 1.0 for path in paths}
 
     def test_non_object_event_record_is_400(self, client, grid):
         key = client.register(grid, sigma2=SIGMA2, seed=0)
@@ -352,6 +370,60 @@ class TestErrorCounter:
         client.register(grid, sigma2=SIGMA2, seed=0)
         client.stats()
         assert _http_errors() == before
+
+
+_RELOADING_REQUESTS = {
+    "/query/resistance": {"pairs": [[0, 80]]},
+    "/events": {"events": [{"type": "insert", "u": 0, "v": 80, "w": 1.0}]},
+}
+
+
+class TestSpilledArtifactFaults:
+    """A spilled checkpoint that no longer loads is the server's own
+    storage fault: a 500 that names no spool path, counted once."""
+
+    @pytest.mark.parametrize("fault", ["truncated", "missing", "bad-json"])
+    @pytest.mark.parametrize("path", sorted(_RELOADING_REQUESTS))
+    def test_reload_fault_is_500_without_path(
+        self, spilled, break_checkpoint, caplog, fault, path
+    ):
+        service, client, key = spilled
+        break_checkpoint(service.registry, key, fault)
+        before = _http_errors()
+        with pytest.raises(ServiceError) as excinfo:
+            client._request(
+                "POST", path, {"key": key, **_RELOADING_REQUESTS[path]}
+            )
+        after = _http_errors()
+        assert excinfo.value.status == 500
+        assert excinfo.value.body == {"error": "internal server error"}
+        assert ".npz" not in str(excinfo.value)
+        assert str(service.registry.spool_dir) not in str(excinfo.value)
+        bumped = {k: after[k] - before.get(k, 0.0)
+                  for k in after if after[k] != before.get(k, 0.0)}
+        assert bumped == {(path, "500"): 1.0}
+        # The entry stays registered and spilled; the server log keeps
+        # the loader's own error (with the path, where it names one).
+        assert key in service.registry
+        assert key not in service.registry.resident_keys()
+        assert "was the direct cause" in caplog.text
+        if fault == "truncated":
+            assert f"{key}.npz" in caplog.text
+
+    def test_registry_raises_reload_error_naming_only_the_key(
+        self, tmp_path, break_checkpoint
+    ):
+        registry = SparsifierRegistry(tmp_path / "spool", max_resident=1)
+        key = registry.register(
+            generators.grid2d(9, 9, weights="uniform", seed=2), sigma2=SIGMA2
+        )
+        registry.evict(key)
+        break_checkpoint(registry, key, "truncated")
+        with pytest.raises(ArtifactReloadError) as excinfo:
+            registry.get(key)
+        assert str(excinfo.value) == f"spilled artifact {key} could not be reloaded"
+        assert isinstance(excinfo.value.__cause__, ValueError)
+        assert registry.keys() == [key] and registry.resident_keys() == []
 
 
 def _raw_post(service, length: str, body: bytes = b"") -> tuple[int, bytes]:

@@ -60,6 +60,7 @@ class TestHealthEndpoint:
         assert set(rules) == {
             "stream_drift_ratio", "http_p99_latency",
             "registry_eviction_churn", "stream_tier3_repairs",
+            "http_server_errors",
         }
         assert all(r["ok"] for r in payload["rules"])
 
@@ -86,6 +87,37 @@ class TestHealthEndpoint:
         )
         assert drift["ok"] is False
         assert drift["value"] > 0
+
+    def test_reload_fault_trips_server_error_rule(self, spilled, break_checkpoint):
+        service, client, key = spilled
+        assert _raw_status(service.url)[0] == 200
+        break_checkpoint(service.registry, key, "truncated")
+        with pytest.raises(ServiceError):
+            client.resistance(key, [[0, 80]])
+        status, payload = _raw_status(service.url)
+        assert status == 503
+        failed = [r for r in payload["rules"] if not r["ok"]]
+        assert [r["rule"] for r in failed] == ["http_server_errors"]
+        assert failed[0]["value"] == 1.0
+
+    def test_client_errors_leave_service_healthy(self, tmp_path, grid):
+        with _service(tmp_path) as service:
+            client = ServeClient(service.url)
+            key = client.register(grid, sigma2=SIGMA2, seed=0)
+            for send in (
+                lambda: client.resistance(key, [[0, 10**6]]),  # 400
+                lambda: client.resistance("0" * 16, [[0, 1]]),  # 404
+                lambda: client._request("GET", "/nope"),  # 404
+                # Valid JSON but not an object: 400s, not 500s.
+                lambda: client._request("POST", "/query/resistance", []),
+                lambda: client._request("POST", "/events", 5),
+                lambda: client._request("POST", "/graphs", "x"),
+            ):
+                with pytest.raises(ServiceError):
+                    send()
+            status, payload = _raw_status(service.url)
+        assert status == 200
+        assert payload["healthy"] is True
 
     def test_client_health_returns_both_verdicts(self, tmp_path, grid):
         with _service(tmp_path, alert_rules=(HAIR_TRIGGER,)) as service:
