@@ -412,21 +412,21 @@ def _tracing(path: str | None):
 def _cmd_sparsify(args: argparse.Namespace) -> int:
     from repro.sparsify import sparsify_graph
 
-    graph = load_graph_matrix_market(args.input)
     with _tracing(args.trace):
+        graph = load_graph_matrix_market(args.input)
         result = sparsify_graph(
             graph, sigma2=args.sigma2, tree_method=args.tree, seed=args.seed,
             workers=args.workers, shard_max_nodes=args.shard_max_nodes,
         )
-    write_matrix_market(
-        args.output,
-        result.sparsifier.adjacency(),
-        symmetric=True,
-        comment=(
-            f"sparsifier of {args.input} at sigma2={args.sigma2} "
-            f"(estimate {result.sigma2_estimate:.1f})"
-        ),
-    )
+        write_matrix_market(
+            args.output,
+            result.sparsifier.adjacency(),
+            symmetric=True,
+            comment=(
+                f"sparsifier of {args.input} at sigma2={args.sigma2} "
+                f"(estimate {result.sigma2_estimate:.1f})"
+            ),
+        )
     print(result.summary())
     if args.profile and result.profile is not None:
         print(result.profile.table())
@@ -477,6 +477,12 @@ def _cmd_stream(args: argparse.Namespace) -> int:
         print(f"replaying {len(events)} events in batches of "
               f"{args.batch_size}")
         reports = dyn.apply_log(events, batch_size=args.batch_size)
+        if args.output:
+            write_matrix_market(
+                args.output, dyn.sparsifier().adjacency(), symmetric=True,
+                comment=f"streamed sparsifier after {len(events)} events "
+                        f"(sigma2 target {dyn.sigma2})",
+            )
     for r in reports:
         quality = f"{r.sigma2_estimate:8.1f}" if r.checked else "     (skip)"
         actions = []
@@ -497,11 +503,6 @@ def _cmd_stream(args: argparse.Namespace) -> int:
           f"{dyn.redensify_count} re-densifications, "
           f"{dyn.tree_repair_count} backbone repairs)")
     if args.output:
-        write_matrix_market(
-            args.output, dyn.sparsifier().adjacency(), symmetric=True,
-            comment=f"streamed sparsifier after {len(events)} events "
-                    f"(sigma2 target {dyn.sigma2})",
-        )
         print(f"written: {args.output}")
     if args.checkpoint_out:
         npz_path, json_path = save_dynamic(args.checkpoint_out, dyn)

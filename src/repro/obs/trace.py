@@ -123,7 +123,7 @@ class SpanRecord:
     ----------
     name, category:
         The span's identity (categories: ``stage``, ``shard``,
-        ``solver``, ``stream``, ``serve``, ...).
+        ``solver``, ``stream``, ``serve``, ``io``, ...).
     start, duration:
         Seconds relative to the tracer's epoch / wall seconds.
     tid:
@@ -200,7 +200,7 @@ class Tracer:
             trace nests ``densify.embedding`` under ``densify``).
         category:
             Coarse subsystem tag used for filtering (``stage``,
-            ``shard``, ``solver``, ``stream``, ``serve``).
+            ``shard``, ``solver``, ``stream``, ``serve``, ``io``).
         **args:
             Initial annotations (more via :meth:`Span.annotate`).
 

@@ -17,8 +17,9 @@ never leaves a half-written file under a checkpoint's name.  The
 digest ties the pair together: a torn pair (a kill between the two
 renames, or files copied from different saves) or a corrupt npz is
 refused with :class:`ValueError` on load instead of restoring a
-mismatched state.  Nothing is fsync'ed, so after a power loss a
-checkpoint may be refused, but it is never silently wrong.
+mismatched state.  Each temporary file is flushed and fsync'ed before
+its rename, and the directory after both renames, so a save that
+returned survives a power loss.
 Checkpoints written before the digest existed load unchecked.
 
 Determinism contract: saving flushes the incrementally corrected
@@ -105,8 +106,10 @@ def _write_pair(path: str | Path, arrays: dict, meta: dict) -> tuple[Path, Path]
     """Write a checkpoint pair; a failed save leaves the old pair intact.
 
     The npz is serialized in memory, so its sha256 can go into the json.
-    Both files are written to ``.tmp`` siblings, then renamed over their
-    targets, the npz first and the json last.
+    Both files are written to ``.tmp`` siblings and fsync'ed, then
+    renamed over their targets, the npz first and the json last; the
+    directory is fsync'ed after both renames, so the new names are
+    durable too.
     """
     npz_path, json_path = checkpoint_paths(path)
     buffer = io.BytesIO()
@@ -120,12 +123,28 @@ def _write_pair(path: str | Path, arrays: dict, meta: dict) -> tuple[Path, Path]
     try:
         npz_tmp.write_bytes(payload)
         json_tmp.write_text(text, encoding="utf-8")
+        _fsync(npz_tmp)
+        _fsync(json_tmp)
         os.replace(npz_tmp, npz_path)
         os.replace(json_tmp, json_path)
     finally:
         npz_tmp.unlink(missing_ok=True)
         json_tmp.unlink(missing_ok=True)
+    _fsync(json_path.parent)
     return npz_path, json_path
+
+
+def _fsync(path: Path) -> None:
+    """Flush a closed file's or a directory's data to disk.
+
+    Linux syncs an inode's data through any descriptor, so a read-only
+    one serves files and directories alike.
+    """
+    descriptor = os.open(path, os.O_RDONLY)
+    try:
+        os.fsync(descriptor)
+    finally:
+        os.close(descriptor)
 
 
 def _read_pair(path: str | Path, kind: str, label: str) -> tuple[dict, dict, Path]:

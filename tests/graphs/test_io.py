@@ -8,6 +8,7 @@ import scipy.sparse as sp
 
 from repro.graphs import Graph, generators
 from repro.graphs.io import (
+    MAX_DIMENSION,
     load_graph_npz,
     load_graph_matrix_market,
     read_edge_list,
@@ -16,6 +17,7 @@ from repro.graphs.io import (
     write_edge_list,
     write_matrix_market,
 )
+from repro.obs import Tracer, observed
 
 
 class TestMatrixMarket:
@@ -144,6 +146,142 @@ class TestAdversarialMatrixMarket:
         write_matrix_market(path, g.adjacency(), symmetric=True)
         back = Graph.from_sparse(read_matrix_market(path).tocsr())
         assert np.array_equal(back.w, g.w)
+
+
+def _mtx(body: str, banner: str = "real general") -> io.StringIO:
+    return io.StringIO(f"%%MatrixMarket matrix coordinate {banner}\n{body}")
+
+
+class TestMalformedMatrixMarket:
+    """Every malformed file is a ValueError, raised before anything the
+    size line declares is allocated."""
+
+    @pytest.mark.parametrize("body, banner, match", [
+        ("5 5 5\n2 1 1.0\n3 1 2.0\n", "real symmetric", "bytes follow"),
+        ("5 5 3\n2 1 1.0\n3 1 2.0\n", "real symmetric", "Truncated"),
+        ("3 3 1\n2 1 1.0\n3 1 2.0\n", "real general", "Too many lines"),
+        ("3 3 1\n0 1 1.0\n", "real general", "out of bounds"),
+        ("3 3 1\n4 1 1.0\n", "real general", "out of bounds"),
+        ("3 3 1\n2 4 1.0\n", "real general", "out of bounds"),
+        ("3 3 1\n2 1\n", "real general", "floating-point"),
+        ("3 3 1\n2 1 abc\n", "real general", "floating-point"),
+        ("3 3 1\nx 1 1.0\n", "real general", "integer"),
+        ("3 3\n2 1 1.0\n", "real general", "size line"),
+        ("3 3 one\n2 1 1.0\n", "real general", "size line"),
+        ("", "real general", "size line"),
+        ("-3 3 1\n2 1 1.0\n", "real general", "must lie in"),
+    ], ids=["five-declared-two-present", "truncated", "too-long",
+            "zero-index", "row-out-of-range", "col-out-of-range",
+            "missing-value", "non-numeric-value", "non-numeric-index",
+            "short-size-line", "non-numeric-size", "no-size-line",
+            "negative-dimension"])
+    def test_refused(self, body, banner, match):
+        with pytest.raises(ValueError, match=match):
+            read_matrix_market(_mtx(body, banner))
+
+    def test_huge_entry_count_refused_before_allocation(self):
+        """4e9 declared entries would need ~30 GiB of index arrays."""
+        with pytest.raises(ValueError, match="bytes follow"):
+            read_matrix_market(_mtx("3 3 4000000000\n2 1 1.0\n"))
+
+    def test_entry_count_bound_is_tight(self, tmp_path):
+        """Two ``1 1`` lines (the last without its newline) fit 7 bytes;
+        a third declared entry does not."""
+        path = tmp_path / "tight.mtx"
+        path.write_text("%%MatrixMarket matrix coordinate pattern general\n"
+                        "2 2 2\n1 1\n2 2")
+        assert read_matrix_market(path).nnz == 2
+        path.write_text("%%MatrixMarket matrix coordinate pattern general\n"
+                        "2 2 3\n1 1\n2 2")
+        with pytest.raises(ValueError, match="3 entries, but only 7 bytes"):
+            read_matrix_market(path)
+
+    def test_huge_dimension_refused(self, tmp_path):
+        """1e12 rows would make ``tocsr`` allocate terabytes."""
+        path = tmp_path / "wide.mtx"
+        path.write_text("%%MatrixMarket matrix coordinate real general\n"
+                        "1000000000000 3 1\n2 1 1.0\n")
+        with pytest.raises(ValueError, match="must lie in"):
+            load_graph_matrix_market(path)
+
+    def test_largest_dimension_accepted(self):
+        text = f"{MAX_DIMENSION} {MAX_DIMENSION} 1\n2 1 1.5\n"
+        assert read_matrix_market(_mtx(text)).shape == (MAX_DIMENSION,) * 2
+        with pytest.raises(ValueError, match="must lie in"):
+            read_matrix_market(_mtx(f"{MAX_DIMENSION + 1} 3 1\n2 1 1.5\n"))
+
+    def test_hermitian_symmetry_rejected(self):
+        with pytest.raises(ValueError, match="unsupported symmetry 'hermitian'"):
+            read_matrix_market(_mtx("1 1 0\n", "real hermitian"))
+
+
+class TestExactRoundTrip:
+    @pytest.mark.parametrize("make", [
+        lambda: generators.grid2d(24, 24, weights="uniform", seed=3),
+        lambda: generators.grid2d(24, 24, weights="lognormal", seed=3),
+        lambda: generators.barabasi_albert(1500, attach=4, seed=3),
+    ], ids=["uniform-grid", "lognormal-grid", "ba-1500"])
+    def test_graph_bits_survive(self, tmp_path, make):
+        g = make()
+        path = tmp_path / "g.mtx"
+        write_matrix_market(path, g.adjacency(), symmetric=True)
+        back = load_graph_matrix_market(path)
+        assert back.n == g.n
+        assert np.array_equal(back.u, g.u) and np.array_equal(back.v, g.v)
+        assert np.array_equal(back.w.view(np.int64), g.w.view(np.int64))
+
+    def test_repr_format_fixture_reads_back_same_bits(self):
+        """Files in the ``repr`` float format the per-line writer used,
+        with a subnormal, extremes and a value that needs 17 digits."""
+        tokens = ["5e-324", "1e-300", "2.2250738585072014e-308",
+                  "1.7976931348623157e+308", "0.30000000000000004",
+                  "0.1", "-2.5", "3.0"]
+        lines = "".join(f"{k + 1} {k + 1} {t}\n" for k, t in enumerate(tokens))
+        n = len(tokens)
+        matrix = read_matrix_market(_mtx(f"{n} {n} {n}\n{lines}"))
+        expected = np.array([float(t) for t in tokens])
+        assert matrix.data.dtype == np.float64
+        assert np.array_equal(matrix.data.view(np.int64), expected.view(np.int64))
+
+    def test_integer_field_reads_as_float64(self):
+        matrix = read_matrix_market(_mtx("2 2 1\n2 1 7\n", "integer general"))
+        assert matrix.data.dtype == np.float64
+        assert matrix.toarray()[1, 0] == 7.0
+
+    def test_symmetric_write_keeps_lower_triangle(self, grid_weighted):
+        out = io.StringIO()
+        write_matrix_market(out, grid_weighted.adjacency(), symmetric=True,
+                            comment="grid")
+        lines = out.getvalue().splitlines()
+        assert lines[0] == "%%MatrixMarket matrix coordinate real symmetric"
+        assert lines[1] == "% grid"
+        entries = [line.split() for line in lines[3:]]
+        assert len(entries) == int(lines[2].split()[2]) == grid_weighted.num_edges
+        assert all(int(r) > int(c) for r, c, _ in entries)
+        back = read_matrix_market(io.StringIO(out.getvalue()))
+        assert (back != grid_weighted.adjacency()).nnz == 0
+
+
+class TestIoSpans:
+    def test_read_and_write_each_open_one_span(self, tmp_path, grid_weighted):
+        tracer = Tracer()
+        path = tmp_path / "g.mtx"
+        with observed(tracer=tracer):
+            write_matrix_market(path, grid_weighted.adjacency(), symmetric=True)
+            load_graph_matrix_market(path)
+        spans = {r.name: r for r in tracer.records(category="io")}
+        assert set(spans) == {"io.write_matrix_market", "io.read_matrix_market"}
+        assert all(r.args["entries"] == grid_weighted.num_edges
+                   for r in spans.values())
+
+
+class TestEdgeListRefusals:
+    @pytest.mark.parametrize("text", ["0\n", "0 1\n2\n"])
+    def test_short_line_refused(self, tmp_path, text):
+        path = tmp_path / "edges.txt"
+        path.write_text(text)
+        with pytest.raises(ValueError, match="expected 'u v"):
+            read_edge_list(path)
 
 
 class TestEdgeListIsolatedVertices:

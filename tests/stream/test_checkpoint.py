@@ -3,6 +3,7 @@
 import errno
 import hashlib
 import json
+import os
 import shutil
 from pathlib import Path
 
@@ -275,6 +276,42 @@ class TestCrashSafety:
         assert back.batches_applied == 0
         assert np.array_equal(back.edge_mask, saved_mask)
         assert sorted(p.name for p in tmp_path.iterdir()) == ["ck.json", "ck.npz"]
+
+    @pytest.mark.parametrize("save", [save_dynamic, save_result],
+                             ids=["dynamic", "result"])
+    def test_temp_files_synced_before_rename_and_directory_after(
+        self, tmp_path, grid, monkeypatch, save
+    ):
+        """A save that returned survives a power loss: each temporary
+        file reaches the disk before its rename, and the directory
+        entries after both renames."""
+        artifact = (DynamicSparsifier(grid, sigma2=90.0, seed=0)
+                    if save is save_dynamic
+                    else sparsify_graph(grid, sigma2=90.0, seed=0))
+        events = []
+        real_fsync, real_replace = os.fsync, os.replace
+
+        def fsync(fd):
+            events.append(("fsync", os.fstat(fd).st_ino))
+            real_fsync(fd)
+
+        def replace(src, dst):
+            events.append(("replace", Path(dst).name))
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "fsync", fsync)
+        monkeypatch.setattr(os, "replace", replace)
+        npz_path, json_path = save(tmp_path / "ck", artifact)
+        monkeypatch.undo()
+
+        # A rename keeps the inode, so the targets name what was synced.
+        npz, js, directory = (p.stat().st_ino
+                              for p in (npz_path, json_path, tmp_path))
+        assert events == [
+            ("fsync", npz), ("fsync", js),
+            ("replace", "ck.npz"), ("replace", "ck.json"),
+            ("fsync", directory),
+        ]
 
     def test_checkpoint_without_digest_loads_unchecked(self, tmp_path, grid):
         dyn = DynamicSparsifier(grid, sigma2=90.0, seed=0)

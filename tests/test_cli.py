@@ -1,11 +1,16 @@
 """Unit tests for the command-line interface."""
 
+import os
+import subprocess
+import sys
 import threading
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import repro
 from repro import __version__
 from repro.cli import EXIT_INVALID_DATA, EXIT_MISSING_INPUT, main
 from repro.graphs import generators
@@ -247,6 +252,33 @@ class TestExitCodes:
         assert main(["similarity", str(bad_mtx), str(bad_mtx)]) == EXIT_INVALID_DATA
         assert "invalid input" in capsys.readouterr().err
 
+    def test_malformed_matrix_market_exits_4_without_traceback(self, tmp_path):
+        """A symmetric file declaring 5 entries with 2 present, run as
+        ``python -m repro``: a one-line message and exit 4."""
+        path = tmp_path / "short.mtx"
+        path.write_text("%%MatrixMarket matrix coordinate real symmetric\n"
+                        "5 5 5\n2 1 1.0\n3 1 2.0\n")
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", "sparsify", str(path),
+             "-o", str(tmp_path / "o.mtx")],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == EXIT_INVALID_DATA
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("error: invalid input: ")
+
+    @pytest.mark.parametrize("size_line", ["3 3 4000000000", "1000000000000 3 1"],
+                             ids=["huge-count", "huge-dimension"])
+    def test_oversized_size_line_is_4(self, tmp_path, capsys, size_line):
+        path = tmp_path / "big.mtx"
+        path.write_text("%%MatrixMarket matrix coordinate real general\n"
+                        f"{size_line}\n2 1 1.0\n")
+        out = str(tmp_path / "o.mtx")
+        assert main(["sparsify", str(path), "-o", out]) == EXIT_INVALID_DATA
+        assert "invalid input" in capsys.readouterr().err
+
     def test_invalid_events_log_is_4(self, graph_file, tmp_path, capsys):
         path, _ = graph_file
         log = tmp_path / "events.jsonl"
@@ -354,6 +386,16 @@ class TestObsCommand:
         capsys.readouterr()
         assert main(["obs", "diff", str(trace_a), str(trace_b)]) == 0
         assert "wall clock" in capsys.readouterr().out
+
+    def test_trace_holds_load_and_write(self, graph_file, traced_run):
+        from repro.obs.analyze import load_trace
+
+        _, graph = graph_file
+        trace, _ = traced_run
+        spans = {r.name: r for r in load_trace(trace) if r.category == "io"}
+        assert set(spans) == {"io.read_matrix_market", "io.write_matrix_market"}
+        assert spans["io.read_matrix_market"].args["entries"] == graph.num_edges
+        assert spans["io.write_matrix_market"].args["entries"] > 0
 
     def test_report_missing_trace_exit_code(self, tmp_path, capsys):
         assert main(
