@@ -185,7 +185,7 @@ def _median_seconds(fn) -> float:
     return float(np.median(times))
 
 
-def test_speed_over_frozen_loops(smoke, record, tmp_path):
+def test_speed_over_frozen_loops(smoke, tmp_path):
     """Read and write the 400² lognormal grid against the frozen loops."""
     side = 40 if smoke else 400
     graph = generators.grid2d(side, side, weights="lognormal", seed=0)
@@ -215,9 +215,6 @@ def test_speed_over_frozen_loops(smoke, record, tmp_path):
         f"({read_speedup:.1f}x), write {frozen_write_s * 1e3:.0f} -> "
         f"{write_s * 1e3:.0f} ms ({write_speedup:.1f}x)"
     )
-    record("io", read_s=read_s, frozen_read_s=frozen_read_s,
-           write_s=write_s, frozen_write_s=frozen_write_s,
-           read_speedup=read_speedup, write_speedup=write_speedup)
     if not smoke:
         assert read_speedup >= READ_SPEEDUP_FLOOR
         assert write_speedup >= WRITE_SPEEDUP_FLOOR

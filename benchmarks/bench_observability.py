@@ -44,7 +44,7 @@ def _pipeline_seconds(graph, repeats: int) -> float:
     return best
 
 
-def test_observability_overhead(scale, smoke, record):
+def test_observability_overhead(scale, smoke):
     """Acceptance: live collectors cost ≤ 10% pipeline wall time, and
     the disabled no-op path is estimated at ≤ 2%."""
     side = 12 if smoke else max(24, int(64 * scale))
@@ -87,15 +87,6 @@ def test_observability_overhead(scale, smoke, record):
         f"{t_on:.4f}s ({enabled_overhead:+.1%}); {events_per_run} "
         f"instrumentation events/run at {per_event * 1e9:.0f} ns null "
         f"cost -> estimated disabled overhead {est_disabled:.3%}"
-    )
-    record(
-        "observability",
-        disabled_s=t_off,
-        enabled_s=t_on,
-        enabled_overhead=enabled_overhead,
-        events_per_run=events_per_run,
-        null_event_ns=per_event * 1e9,
-        est_disabled_overhead=est_disabled,
     )
     assert events_per_run > 0
     if not smoke:

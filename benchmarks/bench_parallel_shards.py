@@ -56,7 +56,7 @@ def _timed_run(graph, **options):
     return result, result.wall_seconds
 
 
-def test_multi_component_speedup(record):
+def test_multi_component_speedup():
     """Acceptance: >1.5x wall-clock with 4 workers on a 4-shard workload."""
     side = max(40, int(70 * np.sqrt(bench_scale())))
     graph = _four_component_graph(side)
@@ -71,14 +71,12 @@ def test_multi_component_speedup(record):
         f"serial {t_serial:.2f}s, {WORKERS} process workers {t_parallel:.2f}s "
         f"-> speedup {speedup:.2f}x on {_cpus()} CPUs"
     )
-    record("parallel_multi_component", serial_s=t_serial,
-           parallel_s=t_parallel, speedup=speedup)
     if _cpus() < 2:
         pytest.skip("speedup assertion needs more than one CPU")
     assert speedup > 1.5
 
 
-def test_partitioned_speedup(record):
+def test_partitioned_speedup():
     """Fiedler-split shards of one connected grid also parallelize."""
     side = max(40, int(90 * np.sqrt(bench_scale())))
     graph = generators.grid2d(side, side, weights="uniform", seed=1)
@@ -96,8 +94,6 @@ def test_partitioned_speedup(record):
         f"({parallel.cut_edge_indices.size} cut edges): serial {t_serial:.2f}s, "
         f"{WORKERS} process workers {t_parallel:.2f}s -> speedup {speedup:.2f}x"
     )
-    record("parallel_partitioned", serial_s=t_serial,
-           parallel_s=t_parallel, speedup=speedup)
     if _cpus() < 2:
         pytest.skip("speedup assertion needs more than one CPU")
     assert speedup > 1.2

@@ -80,7 +80,7 @@ def best_of(fn, repeats=REPEATS):
     return result, best
 
 
-def test_pipeline_matches_legacy_within_5_percent(smoke, scale, record):
+def test_pipeline_matches_legacy_within_5_percent(smoke, scale):
     side = 40 if smoke else int(120 * scale)
     graph = generators.grid2d(side, side, weights="uniform", seed=0)
 
@@ -103,8 +103,6 @@ def test_pipeline_matches_legacy_within_5_percent(smoke, scale, record):
           f"pipeline {pipeline_best * 1e3:.1f} ms "
           f"(x{pipeline_best / legacy_best:.3f})")
     print(profile.table())
-    record("pipeline_stages", legacy_s=legacy_best, pipeline_s=pipeline_best,
-           ratio=pipeline_best / legacy_best)
 
     # Profile shape: the loop's sub-stages must be accounted for.
     for name in ("tree", "densify", "densify.estimate", "densify.embedding",

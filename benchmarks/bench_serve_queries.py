@@ -51,7 +51,7 @@ def _query_pairs(n, count, rng):
     return pairs
 
 
-def test_batched_engine_beats_per_query_solves(scale, smoke, record):
+def test_batched_engine_beats_per_query_solves(scale, smoke):
     """Acceptance: the warm batched engine answers k resistance queries
     ≥ 5x faster than naive per-query serving, with identical answers."""
     side = 36 if smoke else max(100, int(200 * scale))
@@ -101,8 +101,6 @@ def test_batched_engine_beats_per_query_solves(scale, smoke, record):
         f"vs batched engine {t_batched:.3f}s ({speedup:.1f}x over naive, "
         f"{queries / max(t_batched, 1e-12):,.0f} q/s batched)"
     )
-    record("serve_queries", naive_s=t_naive, warm_s=t_warm,
-           batched_s=t_batched, speedup=speedup)
     if not smoke:
         assert speedup >= 5.0
 
@@ -117,7 +115,7 @@ class _SolveOnly:
         return self._inner.solve(rhs)
 
 
-def test_pair_rows_beat_solve_and_gather(smoke, record):
+def test_pair_rows_beat_solve_and_gather(smoke):
     """8-pair resistance queries read at the pair rows beat a full
     solve-and-gather on the same solver at Woodbury rank >= 32, with
     the same answers to 1e-12."""
@@ -155,13 +153,11 @@ def test_pair_rows_beat_solve_and_gather(smoke, record):
         f"resistance: solve-and-gather {gather_ms:.2f} ms vs pair rows "
         f"{pair_ms:.2f} ms ({speedup:.2f}x, medians of {reps})"
     )
-    record("serve_queries", pair_rank=rank, pair_rows_ms=pair_ms,
-           solve_gather_ms=gather_ms, pair_speedup=speedup)
     if not smoke:
         assert speedup >= PAIR_ROW_SPEEDUP_FLOOR
 
 
-def test_http_latency_quantiles_from_metrics(smoke, record, tmp_path):
+def test_http_latency_quantiles_from_metrics(smoke, tmp_path):
     """End-to-end HTTP serving latency, read from the service's own
     ``repro_http_request_seconds`` histogram — the same numbers
     ``/metrics`` exports, no client-side stopwatch."""
@@ -198,7 +194,6 @@ def test_http_latency_quantiles_from_metrics(smoke, record, tmp_path):
         f"\n{endpoint} over {requests} requests: "
         f"p50 {p50 * 1e3:.2f} ms, p99 {p99 * 1e3:.2f} ms"
     )
-    record("serve_queries", latency_requests=requests, p50_s=p50, p99_s=p99)
 
 
 def test_serving_stays_fresh_under_churn(smoke):

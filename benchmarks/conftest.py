@@ -12,29 +12,11 @@ every push, so they cannot silently rot, without paying for (or
 flaking on) real measurements.  The option is registered here, so the
 benchmark files must be passed explicitly on the command line (they
 always are — ``bench_*.py`` is not collected by the default run).
-
-``--record`` persists benchmark trajectories: each run's headline
-timings/ratios are appended to ``benchmarks/BENCH_<name>.json`` (a
-JSON list, one record per run) via the ``record`` fixture, so speedup
-trends survive across sessions instead of scrolling away in logs.
-``--record-dir`` redirects the trajectory files (the CI
-perf-regression job records into a temp dir and gates it with ``repro
-obs check-regressions``).  Every record carries the environment
-fingerprint (:func:`repro.obs.ledger.environment_fingerprint`) so
-cross-run diffs can explain outliers, and is mirrored into
-``BENCH_LEDGER.jsonl`` next to the trajectory files so ``repro obs
-runs`` works on benchmark history too.  A corrupt trajectory file is
-backed up to ``*.corrupt-<ts>`` and rebuilt — never silently
-destroyed.
 """
 
 from __future__ import annotations
 
-import datetime
-import json
 import os
-import warnings
-from pathlib import Path
 
 import pytest
 
@@ -54,18 +36,6 @@ def pytest_addoption(parser: pytest.Parser) -> None:
         default=False,
         help="benchmark smoke mode: tiny sizes, parity asserts only",
     )
-    parser.addoption(
-        "--record",
-        action="store_true",
-        default=False,
-        help="append each run's timings/ratios to BENCH_<name>.json",
-    )
-    parser.addoption(
-        "--record-dir",
-        default=None,
-        help="directory for BENCH_<name>.json trajectories "
-             "(default: benchmarks/)",
-    )
 
 
 @pytest.fixture(scope="session")
@@ -76,91 +46,3 @@ def smoke(request: pytest.FixtureRequest) -> bool:
 @pytest.fixture(scope="session")
 def scale() -> float:
     return bench_scale()
-
-
-def _load_history(path: Path) -> list:
-    """Parse an existing trajectory, quarantining corrupt files.
-
-    A file that is not valid JSON (or not a list) is moved aside to
-    ``<name>.corrupt-<utc timestamp>`` with a warning, so the history
-    it held stays recoverable instead of being overwritten with ``[]``.
-    """
-    if not path.exists():
-        return []
-    try:
-        history = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError:
-        history = None
-    if isinstance(history, list):
-        return history
-    stamp = datetime.datetime.now(datetime.timezone.utc).strftime(
-        "%Y%m%dT%H%M%S"
-    )
-    backup = path.with_name(f"{path.name}.corrupt-{stamp}")
-    path.replace(backup)
-    warnings.warn(
-        f"{path.name} is corrupt; backed up to {backup.name} and "
-        f"starting a fresh trajectory",
-        stacklevel=3,
-    )
-    return []
-
-
-def record_metrics(name: str, metrics: dict, directory: Path | None = None,
-                   *, smoke_run: bool = False) -> Path:
-    """Append one benchmark record to ``BENCH_<name>.json``.
-
-    The file holds a JSON list; each run appends one record with a
-    UTC timestamp, the active ``REPRO_SCALE``, the metric mapping and
-    an environment fingerprint.  The record is also mirrored into
-    ``BENCH_LEDGER.jsonl`` in the same directory as a
-    :class:`repro.obs.ledger.RunRecord`, so ``repro obs runs
-    list/show/diff`` can inspect benchmark history.
-    """
-    from repro.obs.ledger import RunLedger, RunRecord, environment_fingerprint
-
-    directory = directory or Path(__file__).parent
-    directory.mkdir(parents=True, exist_ok=True)
-    path = directory / f"BENCH_{name}.json"
-    history = _load_history(path)
-    recorded_at = datetime.datetime.now(
-        datetime.timezone.utc
-    ).isoformat(timespec="seconds")
-    history.append({
-        "recorded_at": recorded_at,
-        "scale": bench_scale(),
-        "smoke": smoke_run,
-        "metrics": metrics,
-        "env": environment_fingerprint(),
-    })
-    path.write_text(json.dumps(history, indent=2) + "\n", encoding="utf-8")
-    RunLedger(directory / "BENCH_LEDGER.jsonl").append(
-        RunRecord.capture(
-            "benchmark",
-            config={
-                "bench": name,
-                "scale": bench_scale(),
-                "smoke": smoke_run,
-            },
-            metrics=metrics,
-        )
-    )
-    return path
-
-
-@pytest.fixture(scope="session")
-def record(request: pytest.FixtureRequest):
-    """Session recorder: ``record(name, **metrics)``; no-op sans --record."""
-    enabled = bool(request.config.getoption("--record"))
-    smoke_run = bool(request.config.getoption("--smoke"))
-    record_dir = request.config.getoption("--record-dir")
-    directory = Path(record_dir) if record_dir else None
-
-    def _record(name: str, **metrics: float):
-        if not enabled:
-            return None
-        return record_metrics(
-            name, metrics, directory, smoke_run=smoke_run
-        )
-
-    return _record

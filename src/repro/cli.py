@@ -55,10 +55,7 @@ Seven subcommands:
     totals/self-times and the critical path; ``obs diff`` attributes
     the wall-clock delta between two traces to span names;
     ``obs runs list/show/diff`` reads a ``--ledger`` JSONL of run
-    records; ``obs check-regressions`` gates the newest record of
-    every ``BENCH_*.json`` trajectory against a median+MAD baseline
-    and exits non-zero on regressions (the CI perf gate).  See
-    ``docs/OBSERVABILITY.md``.
+    records.  See ``docs/OBSERVABILITY.md``.
 
 Examples
 --------
@@ -107,15 +104,13 @@ Summarize a captured trace, then explain a slowdown between two runs::
     python -m repro obs report trace.json
     python -m repro obs diff fast.json slow.json
 
-Keep a durable ledger of runs and gate benchmark trajectories::
+Keep a durable ledger of runs::
 
     python -m repro sparsify input.mtx -o out.mtx --ledger runs.jsonl
     python -m repro obs runs list runs.jsonl
-    python -m repro obs check-regressions benchmarks/
 
 Exit codes are distinct per failure class: ``0`` success, ``1`` lint
-findings (``lint``) or flagged regressions (``obs
-check-regressions``), ``2`` usage errors (argparse and mutually
+findings (``lint``), ``2`` usage errors (argparse and mutually
 exclusive flags), ``3`` missing input files, ``4`` invalid input data
 (malformed files, bad parameter values).
 """
@@ -136,14 +131,12 @@ __all__ = [
     "run",
     "build_parser",
     "EXIT_LINT_FINDINGS",
-    "EXIT_REGRESSIONS",
     "EXIT_USAGE",
     "EXIT_MISSING_INPUT",
     "EXIT_INVALID_DATA",
 ]
 
 EXIT_LINT_FINDINGS = 1
-EXIT_REGRESSIONS = 1
 EXIT_USAGE = 2
 EXIT_MISSING_INPUT = 3
 EXIT_INVALID_DATA = 4
@@ -319,7 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     p_obs = sub.add_parser(
-        "obs", help="analyze traces, run ledgers and benchmark trajectories"
+        "obs", help="analyze traces and run ledgers"
     )
     obs_sub = p_obs.add_subparsers(dest="obs_command", required=True)
 
@@ -361,28 +354,6 @@ def build_parser() -> argparse.ArgumentParser:
                              help="baseline run index (default -2)")
     p_runs_diff.add_argument("--b", type=int, default=-1,
                              help="comparison run index (default -1)")
-
-    p_gate = obs_sub.add_parser(
-        "check-regressions",
-        help="gate BENCH_*.json trajectories against a median+MAD baseline",
-    )
-    p_gate.add_argument("directory", nargs="?", default="benchmarks",
-                        help="directory of BENCH_*.json files "
-                             "(default benchmarks)")
-    p_gate.add_argument("--tolerance", type=float, default=0.5,
-                        help="relative deviation floor before a metric "
-                             "flags (default 0.5)")
-    p_gate.add_argument("--mad-k", type=float, default=4.0,
-                        help="robust-sigma multiplier on the MAD allowance "
-                             "term (default 4.0)")
-    p_gate.add_argument("--min-history", type=int, default=2,
-                        help="comparable prior runs required before gating "
-                             "a file (default 2)")
-    p_gate.add_argument("--abs-tolerance", type=float, default=0.0,
-                        help="absolute allowance floor, for metrics whose "
-                             "baseline sits near zero (default 0.0)")
-    p_gate.add_argument("--format", choices=("text", "json"),
-                        default="text", help="report format (default text)")
     return parser
 
 
@@ -662,37 +633,22 @@ def _cmd_obs(args: argparse.Namespace) -> int:
         else:
             print(render_diff(diff, top=args.top))
         return 0
-    if args.obs_command == "runs":
-        records = _ledger_records(args.ledger)
-        if args.runs_command == "list":
-            for i, record in enumerate(records):
-                print(f"[{i}] {record.summary()}")
-        elif args.runs_command == "show":
-            record = _pick_run(records, args.index, args.ledger)
-            print(json.dumps(record.as_dict(), indent=2))
-        else:
-            from repro.obs.ledger import diff_runs
-
-            diff = diff_runs(
-                _pick_run(records, args.a, args.ledger),
-                _pick_run(records, args.b, args.ledger),
-            )
-            print(json.dumps(diff, indent=2))
-        return 0
-    from repro.obs.ledger import check_regressions
-
-    report = check_regressions(
-        args.directory,
-        rel_tolerance=args.tolerance,
-        mad_k=args.mad_k,
-        min_history=args.min_history,
-        abs_tolerance=args.abs_tolerance,
-    )
-    if args.format == "json":
-        print(json.dumps(report.as_dict(), indent=2))
+    records = _ledger_records(args.ledger)
+    if args.runs_command == "list":
+        for i, record in enumerate(records):
+            print(f"[{i}] {record.summary()}")
+    elif args.runs_command == "show":
+        record = _pick_run(records, args.index, args.ledger)
+        print(json.dumps(record.as_dict(), indent=2))
     else:
-        print(report.render())
-    return 0 if report.ok else EXIT_REGRESSIONS
+        from repro.obs.ledger import diff_runs
+
+        diff = diff_runs(
+            _pick_run(records, args.a, args.ledger),
+            _pick_run(records, args.b, args.ledger),
+        )
+        print(json.dumps(diff, indent=2))
+    return 0
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -706,11 +662,10 @@ def main(argv: list[str] | None = None) -> int:
     Returns
     -------
     int
-        ``0`` on success; ``1`` when ``lint`` reports findings or
-        ``obs check-regressions`` flags a regression; ``2`` usage
-        error (raised as ``SystemExit`` by argparse, returned directly
-        for flag conflicts); ``3`` when an input file is missing;
-        ``4`` on invalid input data.
+        ``0`` on success; ``1`` when ``lint`` reports findings; ``2``
+        usage error (raised as ``SystemExit`` by argparse, returned
+        directly for flag conflicts); ``3`` when an input file is
+        missing; ``4`` on invalid input data.
     """
     args = build_parser().parse_args(argv)
     handlers = {

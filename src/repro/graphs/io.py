@@ -161,8 +161,14 @@ def load_graph_matrix_market(path: str | Path) -> Graph:
     Any symmetric sparse matrix becomes a weighted graph via
     :func:`repro.graphs.laplacian.graph_from_matrix` (absolute values of
     strictly-lower-triangular entries; unit weights for pattern files).
+    The conversion runs in its own ``io.graph_from_matrix`` span,
+    annotated with the graph's edge count.
     """
-    return graph_from_matrix(read_matrix_market(path).tocsr())
+    matrix = read_matrix_market(path)
+    with get_tracer().span("io.graph_from_matrix", category="io") as span:
+        graph = graph_from_matrix(matrix.tocsr())
+        span.annotate(edges=graph.num_edges)
+    return graph
 
 
 def read_edge_list(path: str | Path, num_vertices: int | None = None) -> Graph:

@@ -21,8 +21,8 @@ collectors enabled vs disabled.
 
 Consumption of the collected data lives in three sibling modules:
 :mod:`repro.obs.analyze` (trace reports, critical path, trace diffs),
-:mod:`repro.obs.ledger` (durable run records and the benchmark
-regression gate) and :mod:`repro.obs.alerts` (declarative SLO rules
+:mod:`repro.obs.ledger` (durable run records, also the e2e
+benchmark's) and :mod:`repro.obs.alerts` (declarative SLO rules
 behind the serving tier's ``/health``).  They are imported lazily so
 the instrumented hot path never pays for them.
 """

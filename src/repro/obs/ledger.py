@@ -1,30 +1,17 @@
-"""Run ledger and benchmark regression gate.
+"""Run ledger: the durable record of "what happened when we ran".
 
-Two complementary durable records of "what happened when we ran":
-
-- :class:`RunLedger` — an append-only JSONL file with one
-  :class:`RunRecord` per run: the configuration knobs, seed, σ²
-  outcome, edge counts, per-stage timings
-  (:meth:`~repro.core.profile.PipelineProfile.as_dict` shape) and an
-  :func:`environment_fingerprint` (git commit, python/platform and
-  library versions) so cross-run diffs can explain outliers.  The
-  ``sparsify``/``stream`` CLIs append behind ``--ledger`` and the
-  benchmark ``record`` fixture mirrors every ``BENCH_*.json`` record
-  into ``BENCH_LEDGER.jsonl``; ``repro obs runs list/show/diff``
-  consumes the file.
-- the **regression gate** (:func:`check_regressions`) — compares the
-  newest record of every ``BENCH_<name>.json`` trajectory against a
-  robust baseline (median + MAD over prior records at the same scale
-  and smoke mode) and flags per-metric regressions beyond a
-  tolerance.  ``repro obs check-regressions benchmarks/`` exits
-  non-zero on findings, which is what the CI ``perf-regression`` job
-  gates on.
-
-Only metrics with a recognizable *direction* are gated
-(:func:`metric_direction`): timing-flavoured names (``*_s``, ``*_ns``,
-``latency``, ``overhead``) regress upward, rate-flavoured names
-(``speedup``, ``throughput``, ``qps``) regress downward, and anything
-else (sizes, counts) is informational only.
+:class:`RunLedger` is an append-only JSONL file with one
+:class:`RunRecord` per run: the configuration knobs, seed, σ² outcome,
+edge counts, per-stage timings
+(:meth:`~repro.core.profile.PipelineProfile.as_dict` shape) and an
+:func:`environment_fingerprint` (git commit, python/platform and
+library versions) so cross-run diffs can explain outliers.  The
+``sparsify``/``stream`` CLIs append behind ``--ledger``, the end-to-end
+benchmark harness (``benchmarks/e2e/run.py``) appends one record per
+workload run, and ``repro obs runs list/show/diff`` consumes the file
+(:func:`diff_runs`).  Regression gating is not done here: the e2e
+harness's ``compare`` reads its ledgers with the directions and bounds
+declared in ``BENCHMARK.json``.
 """
 
 from __future__ import annotations
@@ -33,26 +20,17 @@ import datetime
 import functools
 import json
 import platform
-import statistics
 import subprocess
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 
 __all__ = [
-    "GateReport",
-    "Regression",
     "RunLedger",
     "RunRecord",
-    "check_bench_file",
-    "check_regressions",
     "diff_runs",
     "environment_fingerprint",
-    "metric_direction",
 ]
-
-#: MAD-to-sigma scale factor for normally distributed noise.
-_MAD_SIGMA = 1.4826
 
 
 @functools.lru_cache(maxsize=1)
@@ -311,7 +289,7 @@ class RunLedger:
         """All parseable records, in file order.
 
         Corrupt lines are skipped with a warning rather than
-        destroying access to the rest of the trajectory.
+        destroying access to the rest of the ledger.
 
         Returns
         -------
@@ -393,330 +371,3 @@ def diff_runs(a: RunRecord, b: RunRecord) -> dict:
         "metrics": metrics,
         "stages": stages,
     }
-
-
-# ----------------------------------------------------------------------
-# Regression gate over BENCH_<name>.json trajectories
-# ----------------------------------------------------------------------
-
-def metric_direction(name: str) -> str | None:
-    """Classify which way a benchmark metric regresses.
-
-    Parameters
-    ----------
-    name:
-        The metric key from a ``BENCH_*.json`` record.
-
-    Returns
-    -------
-    str or None
-        ``"up_is_bad"`` for timing-flavoured metrics, ``"down_is_bad"``
-        for rate-flavoured ones, ``None`` for ungated metrics (sizes,
-        counts, flags).
-    """
-    lowered = name.lower()
-    if any(tag in lowered for tag in ("speedup", "throughput", "qps")):
-        return "down_is_bad"
-    if (
-        lowered.endswith(("_s", "_ns", "_ms", "_seconds"))
-        or "seconds" in lowered
-        or "latency" in lowered
-        or "overhead" in lowered
-        or lowered.startswith(("p50", "p99"))
-        or lowered.endswith(("p50", "p99"))
-    ):
-        return "up_is_bad"
-    return None
-
-
-@dataclass(frozen=True)
-class Regression:
-    """One flagged metric regression.
-
-    Attributes
-    ----------
-    file:
-        The ``BENCH_*.json`` file name.
-    metric:
-        The regressed metric key.
-    value:
-        The newest record's value.
-    baseline:
-        The robust baseline (median over comparable prior records).
-    allowance:
-        The tolerated deviation (``max(rel_tolerance·|median|,
-        mad_k·1.4826·MAD)``).
-    direction:
-        ``"up_is_bad"`` or ``"down_is_bad"``.
-    history:
-        Number of prior records the baseline was computed from.
-    """
-
-    file: str
-    metric: str
-    value: float
-    baseline: float
-    allowance: float
-    direction: str
-    history: int
-
-    def describe(self) -> str:
-        """One-line human rendering of the finding.
-
-        Returns
-        -------
-        str
-            File, metric, value-vs-baseline and the allowance.
-        """
-        arrow = ">" if self.direction == "up_is_bad" else "<"
-        return (
-            f"{self.file}: {self.metric} = {self.value:g} {arrow} baseline "
-            f"{self.baseline:g} beyond allowance {self.allowance:g} "
-            f"(n={self.history} prior runs)"
-        )
-
-
-@dataclass
-class GateReport:
-    """Outcome of one regression-gate sweep.
-
-    Attributes
-    ----------
-    regressions:
-        Flagged :class:`Regression` findings, in file/metric order.
-    checked:
-        Per-file status dicts (``file``, ``gated`` metric count,
-        ``priors`` used, or a ``skipped`` reason).
-    """
-
-    regressions: tuple
-    checked: list
-
-    @property
-    def ok(self) -> bool:
-        """Whether the sweep found no regressions."""
-        return not self.regressions
-
-    def as_dict(self) -> dict:
-        """JSON-ready payload (``--format json``).
-
-        Returns
-        -------
-        dict
-            ``{"ok", "regressions": [...], "checked": [...]}``.
-        """
-        return {
-            "ok": self.ok,
-            "regressions": [
-                {
-                    "file": r.file,
-                    "metric": r.metric,
-                    "value": r.value,
-                    "baseline": r.baseline,
-                    "allowance": r.allowance,
-                    "direction": r.direction,
-                    "history": r.history,
-                }
-                for r in self.regressions
-            ],
-            "checked": list(self.checked),
-        }
-
-    def render(self) -> str:
-        """Text rendering (what ``repro obs check-regressions`` prints).
-
-        Returns
-        -------
-        str
-            Per-file status lines followed by any findings.
-        """
-        lines = []
-        for entry in self.checked:
-            if "skipped" in entry:
-                lines.append(f"{entry['file']}: skipped ({entry['skipped']})")
-            else:
-                lines.append(
-                    f"{entry['file']}: {entry['gated']} gated metrics vs "
-                    f"{entry['priors']} prior runs"
-                )
-        if self.regressions:
-            lines.append("")
-            lines.append(f"REGRESSIONS ({len(self.regressions)}):")
-            lines.extend(f"  {r.describe()}" for r in self.regressions)
-        else:
-            lines.append("no regressions")
-        return "\n".join(lines)
-
-
-def _comparable_priors(history: list, newest: dict) -> list:
-    """Prior records sharing the newest record's scale and smoke mode."""
-    return [
-        record
-        for record in history[:-1]
-        if isinstance(record, dict)
-        and record.get("scale") == newest.get("scale")
-        and bool(record.get("smoke")) == bool(newest.get("smoke"))
-        and isinstance(record.get("metrics"), dict)
-    ]
-
-
-def check_bench_file(
-    path,
-    rel_tolerance: float = 0.5,
-    mad_k: float = 4.0,
-    min_history: int = 2,
-    abs_tolerance: float = 0.0,
-) -> tuple:
-    """Gate one ``BENCH_<name>.json`` trajectory.
-
-    The newest record is compared against the median of comparable
-    prior records (same ``scale``, same ``smoke`` flag); a metric
-    regresses when its deviation in the bad direction exceeds
-    ``max(abs_tolerance, rel_tolerance·|median|, mad_k·1.4826·MAD)`` —
-    the MAD term widens the band for metrics that are historically
-    noisy, the relative term keeps a floor for rock-steady ones.
-
-    Parameters
-    ----------
-    path:
-        The trajectory file.
-    rel_tolerance:
-        Relative deviation floor (default 0.5: a metric must move 50%
-        past its median to flag, so an injected 2x slowdown fires and
-        ordinary run-to-run noise does not).
-    mad_k:
-        Robust-sigma multiplier on the MAD term.
-    min_history:
-        Minimum comparable prior records; thinner trajectories are
-        skipped (reported, never flagged).
-    abs_tolerance:
-        Absolute allowance floor (default 0.0).  A relative band is
-        meaningless around a near-zero baseline — overhead *ratios*
-        jitter across zero at smoke scale — so thin-history CI gates
-        set this to ignore sub-threshold absolute noise.
-
-    Returns
-    -------
-    tuple
-        ``(regressions, status)`` — a list of :class:`Regression` and
-        the per-file status dict for :class:`GateReport.checked`.
-
-    Raises
-    ------
-    ValueError
-        If the file is not a JSON list of records.
-    """
-    path = Path(path)
-    try:
-        history = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"{path}: not valid JSON: {exc}") from exc
-    if not isinstance(history, list):
-        raise ValueError(f"{path}: expected a JSON list of records")
-    if not history or not isinstance(history[-1], dict):
-        return [], {"file": path.name, "skipped": "no records"}
-    newest = history[-1]
-    metrics = newest.get("metrics")
-    if not isinstance(metrics, dict):
-        return [], {"file": path.name, "skipped": "newest record malformed"}
-    priors = _comparable_priors(history, newest)
-    if len(priors) < min_history:
-        return [], {
-            "file": path.name,
-            "skipped": f"only {len(priors)} comparable prior runs "
-                       f"(need {min_history})",
-        }
-    regressions: list = []
-    gated = 0
-    for metric, value in sorted(metrics.items()):
-        direction = metric_direction(metric)
-        if direction is None or isinstance(value, bool) \
-                or not isinstance(value, (int, float)):
-            continue
-        values = [
-            p["metrics"][metric]
-            for p in priors
-            if isinstance(p["metrics"].get(metric), (int, float))
-            and not isinstance(p["metrics"].get(metric), bool)
-        ]
-        if len(values) < min_history:
-            continue
-        gated += 1
-        median = statistics.median(values)
-        mad = statistics.median(abs(v - median) for v in values)
-        allowance = max(
-            abs_tolerance,
-            rel_tolerance * abs(median),
-            mad_k * _MAD_SIGMA * mad,
-        )
-        deviation = (
-            value - median if direction == "up_is_bad" else median - value
-        )
-        if deviation > allowance:
-            regressions.append(
-                Regression(
-                    file=path.name,
-                    metric=metric,
-                    value=float(value),
-                    baseline=float(median),
-                    allowance=float(allowance),
-                    direction=direction,
-                    history=len(values),
-                )
-            )
-    return regressions, {
-        "file": path.name, "gated": gated, "priors": len(priors),
-    }
-
-
-def check_regressions(
-    directory,
-    rel_tolerance: float = 0.5,
-    mad_k: float = 4.0,
-    min_history: int = 2,
-    abs_tolerance: float = 0.0,
-) -> GateReport:
-    """Gate every ``BENCH_*.json`` trajectory in a directory.
-
-    Parameters
-    ----------
-    directory:
-        Directory holding benchmark trajectories (``benchmarks/`` in
-        the repo, a temp dir in the CI ``perf-regression`` job).
-    rel_tolerance:
-        See :func:`check_bench_file`.
-    mad_k:
-        See :func:`check_bench_file`.
-    min_history:
-        See :func:`check_bench_file`.
-    abs_tolerance:
-        See :func:`check_bench_file`.
-
-    Returns
-    -------
-    GateReport
-        All findings plus per-file status.
-
-    Raises
-    ------
-    FileNotFoundError
-        If ``directory`` does not exist.
-    ValueError
-        If a trajectory file is malformed.
-    """
-    directory = Path(directory)
-    if not directory.is_dir():
-        raise FileNotFoundError(directory)
-    regressions: list = []
-    checked: list = []
-    for path in sorted(directory.glob("BENCH_*.json")):
-        found, status = check_bench_file(
-            path,
-            rel_tolerance=rel_tolerance,
-            mad_k=mad_k,
-            min_history=min_history,
-            abs_tolerance=abs_tolerance,
-        )
-        regressions.extend(found)
-        checked.append(status)
-    return GateReport(regressions=tuple(regressions), checked=checked)

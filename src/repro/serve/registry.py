@@ -14,9 +14,10 @@ set:
   :class:`~repro.serve.QueryEngine`) in memory.  Admitting past the cap
   evicts the least-recently-used entry by checkpointing it to the spool
   directory (:func:`repro.stream.checkpoint.save_dynamic`); touching a
-  spilled entry reloads it.  The checkpoint layer's determinism
-  contract makes spill → reload **bit-identical** to never having
-  evicted (pinned by ``tests/serve/test_registry.py``).
+  spilled entry reloads it.  A reload refuses a checkpoint whose json
+  records another npz digest than the spill wrote.  The checkpoint
+  layer's determinism contract makes spill → reload **bit-identical**
+  to never having evicted (pinned by ``tests/serve/test_registry.py``).
 - **Streaming freshness.**  :meth:`SparsifierRegistry.apply_events`
   routes edge events to an entry's dynamic sparsifier under the
   entry's lock, so concurrent queries never observe a half-applied
@@ -137,7 +138,8 @@ class ArtifactReloadError(RuntimeError):
     """A spilled artifact's checkpoint no longer loads.
 
     The spool is the server's own storage, so a checkpoint that is
-    missing, unreadable, torn or corrupt is a server fault, not a bad
+    missing, unreadable, torn or corrupt, or is not the one the last
+    spill of the artifact wrote, is a server fault, not a bad
     request.  The message names only the artifact key; the loader's
     error, with the spool path, is chained as ``__cause__`` for the
     server log.
@@ -190,10 +192,15 @@ class RegistryEntry:
         repairs) captured at the last spill, re-seeded into the live
         instance on reload so per-stage timings survive LRU eviction
         (checkpoints themselves do not persist profiles).
+    spill_digest:
+        The ``npz_sha256`` that the last spill's checkpoint json
+        recorded (``None`` before the first spill).  A reload refuses
+        a checkpoint whose json records another digest: files of
+        another artifact, or of an older spill of this one.
     """
 
     __slots__ = ("key", "params", "dynamic", "engine", "lock",
-                 "profile_snapshot")
+                 "profile_snapshot", "spill_digest")
 
     def __init__(self, key: str, params: dict, dynamic: DynamicSparsifier) -> None:
         self.key = key
@@ -202,6 +209,7 @@ class RegistryEntry:
         self.dynamic: DynamicSparsifier | None = dynamic
         self.engine: QueryEngine | None = QueryEngine(dynamic, lock=self.lock)
         self.profile_snapshot: dict | None = None
+        self.spill_digest: str | None = None
 
     @property
     def resident(self) -> bool:
@@ -402,7 +410,8 @@ class SparsifierRegistry:
         return False
 
     def _spill_locked(self, entry: RegistryEntry) -> None:
-        save_dynamic(self.spool_dir / entry.key, entry.dynamic)
+        _, json_path = save_dynamic(self.spool_dir / entry.key, entry.dynamic)
+        entry.spill_digest = _recorded_digest(json_path)
         # Checkpoints carry no profile; snapshot it on the entry so the
         # per-stage build timings survive the spill/reload cycle.
         entry.profile_snapshot = entry.dynamic.profile.as_dict()
@@ -433,16 +442,24 @@ class SparsifierRegistry:
             If the key is unknown.
         ArtifactReloadError
             If the entry is spilled and its checkpoint does not load
-            (missing, unreadable, or failing its digest).  The entry
-            stays registered and spilled.
+            (missing, unreadable, or failing its digest) or is not the
+            pair its last spill wrote.  The entry stays registered and
+            spilled.
         """
         with self._lock:
             entry = self._entries.get(key)
             if entry is None:
                 raise KeyError(f"unknown artifact key {key!r}")
             if not entry.resident:
+                path = self.spool_dir / key
                 try:
-                    dyn = load_dynamic(self.spool_dir / key)
+                    _, json_path = checkpoint_paths(path)
+                    if _recorded_digest(json_path) != entry.spill_digest:
+                        raise ValueError(
+                            f"{json_path} is not the checkpoint the last "
+                            f"spill of {key} wrote"
+                        )
+                    dyn = load_dynamic(path)
                 except Exception as exc:
                     # Whatever the loader raises, the spool is the
                     # server's storage: never let it read as a 4xx.
@@ -605,6 +622,11 @@ class SparsifierRegistry:
                 "max_resident": self.max_resident,
                 "artifacts": artifacts,
             }
+
+
+def _recorded_digest(json_path: Path) -> str | None:
+    """The ``npz_sha256`` a checkpoint's json records for its npz."""
+    return json.loads(json_path.read_text(encoding="utf-8")).get("npz_sha256")
 
 
 def _json_float(value: float) -> float | None:

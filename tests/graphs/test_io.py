@@ -269,10 +269,15 @@ class TestIoSpans:
         with observed(tracer=tracer):
             write_matrix_market(path, grid_weighted.adjacency(), symmetric=True)
             load_graph_matrix_market(path)
-        spans = {r.name: r for r in tracer.records(category="io")}
-        assert set(spans) == {"io.write_matrix_market", "io.read_matrix_market"}
-        assert all(r.args["entries"] == grid_weighted.num_edges
-                   for r in spans.values())
+        records = tracer.records(category="io")
+        spans = {r.name: r for r in records}
+        assert len(records) == len(spans) == 3
+        assert set(spans) == {"io.write_matrix_market", "io.read_matrix_market",
+                              "io.graph_from_matrix"}
+        edges = grid_weighted.num_edges
+        assert spans["io.write_matrix_market"].args["entries"] == edges
+        assert spans["io.read_matrix_market"].args["entries"] == edges
+        assert spans["io.graph_from_matrix"].args["edges"] == edges
 
 
 class TestEdgeListRefusals:

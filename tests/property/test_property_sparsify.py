@@ -1,19 +1,20 @@
 """Property-based tests for the sparsification pipeline invariants."""
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from repro.graphs import Graph
 from repro.solvers import DirectSolver
 from repro.sparsify import (
     SparsifierState,
     approx_effective_resistances,
-    exact_condition_number,
     exact_effective_resistances,
     heat_threshold,
     normalized_heats,
     quadratic_form_ratios,
     sparsify_graph,
 )
+from repro.spectral import exact_extreme_generalized_eigs
 from repro.trees import kruskal
 
 from tests.property.test_property_trees import connected_graphs
@@ -55,18 +56,26 @@ class TestNormalizationProperties:
 class TestPipelineInvariants:
     @given(connected_graphs(max_n=16), st.integers(min_value=0, max_value=10**4))
     @settings(max_examples=12, deadline=None)
+    # K4 whose tree sparsifier has λmin 1.054 and λmax 5.146: a sampled
+    # quotient reaches 5.120, past κ = λmax/λmin = 4.885.
+    @example(graph=Graph(4, [0, 0, 0, 1, 1, 2], [1, 2, 3, 2, 3, 3],
+                         [2.0, 1.0, 0.5, 0.5, 2.5, 3.0]), seed=3)
     def test_sparsifier_subgraph_and_bounds(self, graph, seed):
         result = sparsify_graph(graph, sigma2=50.0, seed=seed)
         # Subgraph with original weights.
         idx = graph.edge_indices(result.sparsifier.u, result.sparsifier.v)
         assert np.all(idx >= 0)
         assert np.allclose(result.sparsifier.w, graph.w[idx])
-        # Pencil bounds: every sampled Rayleigh quotient within exact extremes.
-        kappa = exact_condition_number(graph, result.sparsifier)
+        # Pencil bounds: every sampled Rayleigh quotient lies in the
+        # exact [λmin, λmax], and λmin ≥ 1 because L_G − L_P is PSD.
+        lam_min, lam_max = exact_extreme_generalized_eigs(
+            graph.laplacian(), result.sparsifier.laplacian()
+        )
+        assert lam_min >= 1.0 - 1e-6
         ratios = quadratic_form_ratios(graph, result.sparsifier,
                                        num_samples=8, seed=seed)
-        assert np.all(ratios >= 1.0 - 1e-6)
-        assert np.all(ratios <= kappa * (1.0 + 1e-6))
+        assert np.all(ratios >= lam_min * (1.0 - 1e-6))
+        assert np.all(ratios <= lam_max * (1.0 + 1e-6))
 
     @given(connected_graphs(max_n=14))
     @settings(max_examples=10, deadline=None)

@@ -35,8 +35,9 @@ def break_checkpoint():
     """A function that breaks a spilled artifact's checkpoint.
 
     ``fault`` is ``"truncated"`` (the npz cut to half its bytes),
-    ``"missing"`` (the npz deleted) or ``"bad-json"`` (the json
-    unparsable).
+    ``"missing"`` (the npz deleted), ``"bad-json"`` (the json
+    unparsable) or ``"another-key"`` (the one resident artifact is
+    spilled too, and its well-formed pair copied over this key's).
     """
 
     def breaker(registry, key: str, fault: str) -> None:
@@ -46,7 +47,14 @@ def break_checkpoint():
             npz.write_bytes(data[: len(data) // 2])
         elif fault == "missing":
             npz.unlink()
-        else:
+        elif fault == "bad-json":
             meta.write_text("{not json", encoding="utf-8")
+        else:
+            (other,) = registry.resident_keys()
+            registry.evict(other)
+            for source, target in zip(
+                checkpoint_paths(registry.spool_dir / other), (npz, meta)
+            ):
+                target.write_bytes(source.read_bytes())
 
     return breaker

@@ -5,12 +5,14 @@ import pytest
 
 from repro.graphs import generators
 from repro.serve import (
+    ArtifactReloadError,
     SparsifierRegistry,
     artifact_key,
     graph_fingerprint,
 )
 from repro.sparsify import sparsify_graph
 from repro.stream import DynamicSparsifier, random_event_stream
+from repro.stream.checkpoint import checkpoint_paths
 
 
 SIGMA2 = 120.0
@@ -141,6 +143,20 @@ class TestLRUResidency:
         registry.evict(key)  # idempotent on spilled entries
         after = registry.engine(key).resistance([[0, 63]])
         assert np.allclose(before, after)
+
+    def test_reload_refuses_an_older_spill_of_the_same_key(self, registry, grids):
+        key = registry.register(grids[0], sigma2=SIGMA2, seed=0)
+        registry.evict(key)
+        paths = checkpoint_paths(registry.spool_dir / key)
+        older = [path.read_bytes() for path in paths]
+        registry.apply_events(key, random_event_stream(grids[0], 10, seed=1))
+        registry.evict(key)
+        for path, data in zip(paths, older):
+            path.write_bytes(data)
+        with pytest.raises(ArtifactReloadError) as excinfo:
+            registry.get(key)
+        assert "is not the checkpoint the last spill" in str(excinfo.value.__cause__)
+        assert registry.resident_keys() == []
 
 
 class TestConcurrency:

@@ -379,10 +379,13 @@ _RELOADING_REQUESTS = {
 
 
 class TestSpilledArtifactFaults:
-    """A spilled checkpoint that no longer loads is the server's own
-    storage fault: a 500 that names no spool path, counted once."""
+    """A spilled checkpoint that no longer loads, or is not the one the
+    spill wrote, is the server's own storage fault: a 500 that names no
+    spool path, counted once."""
 
-    @pytest.mark.parametrize("fault", ["truncated", "missing", "bad-json"])
+    @pytest.mark.parametrize(
+        "fault", ["truncated", "missing", "bad-json", "another-key"]
+    )
     @pytest.mark.parametrize("path", sorted(_RELOADING_REQUESTS))
     def test_reload_fault_is_500_without_path(
         self, spilled, break_checkpoint, caplog, fault, path

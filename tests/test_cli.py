@@ -304,6 +304,14 @@ class TestExitCodes:
         assert excinfo.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
 
+    def test_removed_gate_subcommand_is_usage_error(self, capsys):
+        # Regression gating belongs to `benchmarks/e2e/run.py compare`.
+        with pytest.raises(SystemExit) as excinfo:
+            main(["obs", "check-regressions", "benchmarks"])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "invalid choice" in err and "check-regressions" in err
+
 
 class TestServeCommand:
     def test_serve_register_query_shutdown(self, graph_file, tmp_path, capsys):
@@ -393,8 +401,10 @@ class TestObsCommand:
         _, graph = graph_file
         trace, _ = traced_run
         spans = {r.name: r for r in load_trace(trace) if r.category == "io"}
-        assert set(spans) == {"io.read_matrix_market", "io.write_matrix_market"}
+        assert set(spans) == {"io.read_matrix_market", "io.graph_from_matrix",
+                              "io.write_matrix_market"}
         assert spans["io.read_matrix_market"].args["entries"] == graph.num_edges
+        assert spans["io.graph_from_matrix"].args["edges"] == graph.num_edges
         assert spans["io.write_matrix_market"].args["entries"] > 0
 
     def test_report_missing_trace_exit_code(self, tmp_path, capsys):
