@@ -59,7 +59,6 @@ def simplify_network(
     eig_count: int = 10,
     time_eigensolves: bool = True,
     seed: int | np.random.Generator | None = None,
-    workers: int = 1,
     shard_max_nodes: int | None = None,
     **sparsify_options,
 ) -> NetworkSimplifyReport:
@@ -69,7 +68,7 @@ def simplify_network(
     ----------
     graph:
         The network to simplify.  Disconnected networks (common in
-        protein/social datasets) are routed through the shard-parallel
+        protein/social datasets) are routed through the sharded
         pipeline, one shard per component.
     sigma2:
         Similarity target (the paper uses σ² ≈ 100 for Table 4).
@@ -79,15 +78,13 @@ def simplify_network(
         Skip the (possibly slow) eigensolve timings when False.
     seed:
         Randomness for the sparsifier and eigensolvers.
-    workers:
-        Concurrent shard workers for the sparsification stage.
     shard_max_nodes:
         Optional cap on shard sizes (Fiedler splitting of oversized
         components).
     """
     with Timer() as t_total:
         result = sparsify_graph(
-            graph, sigma2=sigma2, seed=seed, workers=workers,
+            graph, sigma2=sigma2, seed=seed,
             shard_max_nodes=shard_max_nodes, **sparsify_options,
         )
     # λ1 of the tree backbone is the first densification iteration's

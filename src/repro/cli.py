@@ -5,10 +5,10 @@ Seven subcommands:
 ``sparsify``
     Compute a σ²-similar sparsifier of a ``.mtx`` graph/SDD matrix.
     Disconnected inputs are handled end-to-end: every connected
-    component becomes a shard of the shard-parallel pipeline
-    (:class:`repro.sparsify.parallel.ShardedSparsifier`), and
-    ``--workers N`` sparsifies shards concurrently.  ``--shard-max-nodes``
-    additionally splits oversized components along Fiedler sign cuts.
+    component becomes a shard of the sharded pipeline
+    (:class:`repro.sparsify.parallel.ShardedSparsifier`), sparsified
+    one after another.  ``--shard-max-nodes`` additionally splits
+    oversized components along Fiedler sign cuts.
     ``--profile`` prints the stage pipeline's per-stage timing/counter
     table (tree/densify plus the estimate/embedding/filter/similarity
     breakdown inside the loop).
@@ -63,10 +63,11 @@ Sparsify a Matrix Market graph/SDD matrix to σ² = 100::
 
     python -m repro sparsify input.mtx -o sparsifier.mtx --sigma2 100
 
-Sparsify a disconnected graph (e.g. a multi-die netlist), four shard
-workers in parallel::
+Sparsify a disconnected graph (e.g. a multi-die netlist), one shard
+per component, splitting components above 50k vertices::
 
-    python -m repro sparsify multi_component.mtx -o sparsifier.mtx --workers 4
+    python -m repro sparsify multi_component.mtx -o sparsifier.mtx \\
+        --shard-max-nodes 50000
 
 Capture a hierarchical execution trace (``sparsify``, ``stream`` and
 ``serve`` all take ``--trace``); load the JSON in Perfetto
@@ -182,17 +183,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_sparsify.add_argument("--seed", type=int, default=0)
     p_sparsify.add_argument("--tree", default="akpw",
                             choices=["akpw", "spt", "maxw", "random"])
-    p_sparsify.add_argument("--workers", type=int, default=1,
-                            help="concurrent shard workers; disconnected "
-                                 "inputs always shard per component "
-                                 "(default 1)")
     p_sparsify.add_argument("--shard-max-nodes", type=int, default=None,
                             help="split components larger than this along "
-                                 "Fiedler sign cuts (default: no splitting)")
+                                 "Fiedler sign cuts (default: no splitting; "
+                                 "disconnected inputs always shard per "
+                                 "component)")
     p_sparsify.add_argument("--profile", action="store_true",
                             help="print the pipeline's per-stage "
                                  "timing/counter table (sharded runs "
-                                 "report per-stage CPU totals across "
+                                 "report per-stage totals across "
                                  "shards)")
     p_sparsify.add_argument("--trace", default=None, metavar="JSON",
                             help="write a Chrome-trace-event file of the "
@@ -387,7 +386,7 @@ def _cmd_sparsify(args: argparse.Namespace) -> int:
         graph = load_graph_matrix_market(args.input)
         result = sparsify_graph(
             graph, sigma2=args.sigma2, tree_method=args.tree, seed=args.seed,
-            workers=args.workers, shard_max_nodes=args.shard_max_nodes,
+            shard_max_nodes=args.shard_max_nodes,
         )
         write_matrix_market(
             args.output,
@@ -407,7 +406,7 @@ def _cmd_sparsify(args: argparse.Namespace) -> int:
 
         config = {
             "input": args.input, "sigma2": args.sigma2, "tree": args.tree,
-            "workers": args.workers, "shard_max_nodes": args.shard_max_nodes,
+            "shard_max_nodes": args.shard_max_nodes,
         }
         RunLedger(args.ledger).append(
             RunRecord.from_result(result, config=config, seed=args.seed)

@@ -4,7 +4,7 @@ The paper's algorithm is one staged dataflow — spanning tree →
 spectral edge embedding → similarity scoring → off-tree edge filtering
 → (optional) rescaling (Feng, DAC 2018 §3).  This package expresses
 that dataflow once, as composable first-class stages, so the batch
-kernel (:mod:`repro.sparsify.similarity_aware`), the shard-parallel
+kernel (:mod:`repro.sparsify.similarity_aware`), the sharded
 pipeline (:mod:`repro.sparsify.parallel`), the streaming tier-3 drift
 repair (:mod:`repro.stream.dynamic`) and the serving registry build
 (:mod:`repro.serve.registry`) all execute the same filter loop instead

@@ -5,7 +5,7 @@ counters under the stage's profile name.  Loop-driver stages (the
 densification loop) record their sub-stages under dotted names
 (``"densify.embedding"``), so one :class:`PipelineProfile` shows both
 the coarse phase split (tree vs densify) and the per-stage breakdown
-inside the loop.  Profiles merge (shard-parallel runs stitch the
+inside the loop.  Profiles merge (sharded runs stitch the
 per-shard profiles into one) and serialize to JSON (the serving
 layer's ``/stats`` payload).
 """

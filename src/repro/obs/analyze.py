@@ -167,8 +167,8 @@ def wall_clock(records) -> float:
 
     The sum of root-span durations per thread, summed over threads —
     for a single-threaded trace this is simply the end-to-end wall
-    time; for merged shard traces it is the *aggregate* busy time of
-    all lanes.
+    time; for multi-threaded traces (the service's handler threads) it
+    is the *aggregate* busy time of all lanes.
 
     Parameters
     ----------
@@ -244,7 +244,7 @@ class CriticalPath:
     ----------
     tid:
         The analyzed thread (the one with the largest top-level wall
-        clock — on merged multi-process traces, the busiest lane).
+        clock — on multi-threaded traces, the busiest lane).
     total_seconds:
         Top-level wall clock of that thread; the path entries'
         ``path_seconds`` sum to exactly this value.

@@ -86,8 +86,8 @@ class RunRecord:
     recorded_at:
         UTC ISO timestamp stamped by :meth:`capture`.
     config:
-        The knobs that shaped the run (σ² target, tree method, worker
-        count, batch size, ...).
+        The knobs that shaped the run (σ² target, tree method, shard
+        size cap, batch size, ...).
     seed:
         The run's RNG seed (``None`` for runs without one).
     metrics:

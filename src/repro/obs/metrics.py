@@ -14,10 +14,9 @@ Three metric kinds cover every signal the instrumented layers emit:
 All metrics in one :class:`MetricsRegistry` share a single lock, so
 updates from the serving tier's handler threads and any other thread
 are safe.  A registry snapshots to
-a JSON-ready dict, merges snapshots from other registries (shard and
-cross-process stitching), resets between benchmark repetitions and
-renders the Prometheus text exposition format served by the HTTP
-service's ``/metrics`` endpoint.
+a JSON-ready dict (what ``GET /stats`` embeds), resets between
+benchmark repetitions and renders the Prometheus text exposition
+format served by the HTTP service's ``/metrics`` endpoint.
 
 The :data:`NULL_METRICS` singleton implements the same surface as
 no-ops; it is what :func:`repro.obs.get_metrics` returns while metrics
@@ -565,63 +564,6 @@ class MetricsRegistry:
                 out[name] = entry
             return out
 
-    def merge(self, snapshot: dict) -> None:
-        """Fold a :meth:`snapshot` into this registry.
-
-        Counters and histograms accumulate; gauges take the snapshot's
-        value (last write wins) — the convention shard stitching wants.
-
-        Parameters
-        ----------
-        snapshot:
-            A dump produced by :meth:`snapshot` (possibly from another
-            process).
-
-        Raises
-        ------
-        ValueError
-            If a family exists here with an incompatible declaration.
-        """
-        for name, entry in snapshot.items():
-            kind = entry.get("kind")
-            labelnames = tuple(entry.get("labelnames", ()))
-            help_text = entry.get("help", "")
-            with self._lock:
-                if kind == "counter":
-                    metric = self._family_locked(
-                        Counter, name, help_text, labelnames
-                    )
-                elif kind == "gauge":
-                    metric = self._family_locked(
-                        Gauge, name, help_text, labelnames
-                    )
-                elif kind == "histogram":
-                    metric = self._family_locked(
-                        Histogram, name, help_text, labelnames,
-                        buckets=tuple(entry.get("buckets", DEFAULT_BUCKETS)),
-                    )
-                else:
-                    raise ValueError(f"unknown metric kind {kind!r}")
-                for key, value in entry.get("values", {}).items():
-                    labels = dict(
-                        zip(labelnames, json.loads(key))
-                    )
-                    _, child = metric._child_locked(labels)
-                    if kind == "counter":
-                        child[0] += value
-                    elif kind == "gauge":
-                        child[0] = value
-                    else:
-                        counts = value["counts"]
-                        if len(counts) != len(child["counts"]):
-                            raise ValueError(
-                                f"histogram {name!r}: bucket shape mismatch"
-                            )
-                        for i, c in enumerate(counts):
-                            child["counts"][i] += c
-                        child["sum"] += value["sum"]
-                        child["count"] += value["count"]
-
     def reset(self) -> None:
         """Zero every child of every family (families stay declared)."""
         with self._lock:
@@ -791,16 +733,6 @@ class NullMetrics:
             ``{}``.
         """
         return {}
-
-    def merge(self, snapshot: dict) -> None:
-        """Discard a snapshot (disabled path).
-
-        Parameters
-        ----------
-        snapshot:
-            Ignored.
-        """
-        return None
 
     def reset(self) -> None:
         """No-op (disabled path)."""

@@ -177,17 +177,6 @@ class Tracer:
         """Whether spans from this tracer are recorded (always True)."""
         return True
 
-    def now(self) -> float:
-        """Seconds since this tracer's epoch (the trace's time origin).
-
-        Returns
-        -------
-        float
-            Current epoch-relative timestamp, usable as a
-            :meth:`merge` offset.
-        """
-        return time.perf_counter() - self._epoch
-
     def span(
         self, name: str, category: str = "", **args: object
     ) -> Span:
@@ -252,40 +241,6 @@ class Tracer:
             self._tids[ident] = tid
             self._next_tid += 1
         return tid
-
-    def merge(self, records, offset: float = 0.0) -> None:
-        """Absorb finished spans recorded by another tracer.
-
-        This is how shard-parallel runs produce one coherent trace: a
-        process-pool worker traces into its own :class:`Tracer` and
-        ships ``tracer.records()`` back; the parent merges them here.
-        Foreign thread ids are remapped onto fresh tids so merged
-        lanes never collide with this tracer's own threads.
-
-        Parameters
-        ----------
-        records:
-            :class:`SpanRecord` objects from another tracer.
-        offset:
-            Seconds added to every record's start, aligning the foreign
-            epoch with this tracer's (e.g. the epoch-relative start of
-            the parallel region that spawned the worker).
-        """
-        with self._lock:
-            remap: dict[int, int] = {}
-            for record in records:
-                tid = remap.get(record.tid)
-                if tid is None:
-                    tid = self._next_tid
-                    remap[record.tid] = tid
-                    self._next_tid += 1
-                self._records.append(
-                    SpanRecord(
-                        record.name, record.category,
-                        record.start + offset, record.duration, tid,
-                        record.depth, record.parent, dict(record.args),
-                    )
-                )
 
     def records(self, category: str | None = None) -> list:
         """Finished spans, in completion order.
@@ -367,16 +322,6 @@ class NullTracer:
         """Whether spans from this tracer are recorded (always False)."""
         return False
 
-    def now(self) -> float:
-        """Epoch-relative timestamp (always 0.0 on the disabled path).
-
-        Returns
-        -------
-        float
-            ``0.0``.
-        """
-        return 0.0
-
     def span(self, name: str, category: str = "", **args: object) -> Span:
         """Create a plain span (timed, never recorded).
 
@@ -395,16 +340,6 @@ class NullTracer:
             An unreported span.
         """
         return Span(name, category=category)
-
-    def merge(self, records, offset: float = 0.0) -> None:
-        """No-op (disabled path).
-
-        Parameters
-        ----------
-        records, offset:
-            Ignored.
-        """
-        return None
 
     def records(self, category: str | None = None) -> list:
         """Always empty.

@@ -18,7 +18,7 @@ Starting from the spanning-tree backbone, each densification iteration:
 
 Since the stage-pipeline refactor the loop body itself lives in
 :class:`repro.core.stages.DensifyStage` — the same implementation that
-drives the shard-parallel, streaming-repair and serving-build paths —
+drives the sharded, streaming-repair and serving-build paths —
 and :func:`densify` is the thin batch configuration: one
 :class:`~repro.core.pipeline.SparsifyPipeline` holding a single
 ``DensifyStage``, its diagnostics repackaged as the familiar

@@ -1,4 +1,4 @@
-"""Shard-parallel sparsification: decompose, sparsify concurrently, stitch.
+"""Sharded sparsification: decompose, sparsify shard by shard, stitch.
 
 Spectral similarity is preserved per connected component — the pencil
 ``(L_G, L_P)`` block-diagonalizes over components, so ``κ(L_G, L_P)``
@@ -13,11 +13,10 @@ here exploits that:
 2. *sparsify* — run the serial stage pipeline
    (:class:`repro.sparsify.similarity_aware.SimilarityAwareSparsifier`,
    itself a :class:`~repro.core.pipeline.SparsifyPipeline`
-   configuration) on every shard, concurrently across a process pool
-   when there are several workers and several shards, with per-shard
-   RNGs spawned deterministically from the root seed
-   (:func:`repro.utils.rng.shard_rngs`) so the stitched result never
-   depends on the worker count;
+   configuration) on every shard, one after another in the calling
+   process, with per-shard RNGs spawned deterministically from the root
+   seed (:func:`repro.utils.rng.shard_rngs`) so each shard's result
+   depends only on the shard and its index;
 3. *stitch* — map each shard's edge mask back to the host graph's
    canonical edges, re-add every cut (shard-crossing) edge, and merge
    the per-shard diagnostics into one
@@ -32,8 +31,6 @@ original weight, but no global certificate is claimed.
 
 from __future__ import annotations
 
-import concurrent.futures
-import multiprocessing
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -42,13 +39,7 @@ from repro.core.profile import PipelineProfile
 from repro.graphs.components import connected_components
 from repro.graphs.graph import Graph
 from repro.graphs.operations import induced_subgraph
-from repro.obs import (
-    MetricsRegistry,
-    Tracer,
-    get_metrics,
-    get_tracer,
-    observed,
-)
+from repro.obs import get_tracer
 from repro.solvers.cholesky import DirectSolver
 from repro.sparsify.similarity_aware import (
     SimilarityAwareSparsifier,
@@ -166,16 +157,14 @@ class ShardStats:
 
 @dataclass
 class ShardedSparsifyResult(SparsifyResult):
-    """A :class:`SparsifyResult` stitched from shard-parallel runs.
+    """A :class:`SparsifyResult` stitched from per-shard runs.
 
     The inherited fields aggregate over shards: ``sigma2_estimate`` is
     the worst (largest) per-shard estimate, ``converged`` requires every
     shard to have converged, ``tree_seconds``/``densify_seconds`` sum
-    the per-shard (CPU) timings, ``iterations`` concatenates the
-    per-shard diagnostics and ``profile`` merges the per-shard
-    pipeline profiles (per-stage CPU totals across all shards).  ``wall_seconds`` is the end-to-end elapsed
-    time of the sharded run — with ``workers > 1`` it is smaller than
-    ``total_seconds``, and their ratio is the parallel speedup.
+    the per-shard timings, ``iterations`` concatenates the per-shard
+    diagnostics and ``profile`` merges the per-shard pipeline profiles
+    (per-stage totals across all shards).
 
     Attributes
     ----------
@@ -185,9 +174,6 @@ class ShardedSparsifyResult(SparsifyResult):
         Connected components of the host graph.
     cut_edge_indices:
         Host edges kept unconditionally because they crossed shards.
-    backend / workers:
-        How the shards ran (``"serial"`` or ``"process"``) and the
-        worker count asked for.
     wall_seconds:
         End-to-end wall-clock time of plan + sparsify + stitch.
     """
@@ -197,8 +183,6 @@ class ShardedSparsifyResult(SparsifyResult):
     cut_edge_indices: np.ndarray = field(
         default_factory=lambda: np.empty(0, dtype=np.int64)
     )
-    backend: str = "serial"
-    workers: int = 1
     wall_seconds: float = 0.0
 
     def summary(self) -> str:
@@ -215,8 +199,7 @@ class ShardedSparsifyResult(SparsifyResult):
             f"{base} [{len(self.shards)} shards over "
             f"{self.num_components} components, "
             f"{self.cut_edge_indices.size} cut edges, "
-            f"wall {self.wall_seconds:.2f}s x{self.workers} "
-            f"{self.backend}]"
+            f"wall {self.wall_seconds:.2f}s]"
         )
 
 
@@ -295,7 +278,7 @@ def plan_shards(
     fiedler_iterations: int = 12,
     seed: int | np.random.Generator | None = 0,
 ) -> ShardPlan:
-    """Decompose a graph into connected shards for parallel sparsification.
+    """Decompose a graph into connected shards for sharded sparsification.
 
     Connected components always become separate shards (an exact,
     similarity-preserving decomposition).  Components larger than
@@ -361,63 +344,8 @@ def plan_shards(
     )
 
 
-def _sparsify_shard(
-    task: tuple[Graph, dict, np.random.Generator],
-) -> tuple[SparsifyResult, float]:
-    """Worker body: run the serial kernel on one shard (module level so
-    process pools can pickle it).
-
-    Parameters
-    ----------
-    task:
-        ``(shard_graph, kernel_options, rng)`` triple.
-
-    Returns
-    -------
-    tuple[SparsifyResult, float]
-        The shard's serial result and its wall time in seconds.
-    """
-    shard_graph, options, rng = task
-    with Timer() as timer:
-        # Shards are connected by construction; skip the kernel's scan.
-        result = SimilarityAwareSparsifier(seed=rng, **options).sparsify(
-            shard_graph, check_connected=False
-        )
-    return result, timer.elapsed
-
-
-def _sparsify_shard_observed(
-    task: tuple[Graph, dict, np.random.Generator],
-) -> tuple[SparsifyResult, float, list, dict]:
-    """Worker body for process pools under active observability.
-
-    A forked worker only inherits *copies* of the parent's tracer and
-    metrics registry, so anything it records there is lost.  This
-    variant instead traces into a fresh tracer/registry pair and ships
-    the finished spans and the metrics snapshot back with the result;
-    the parent merges them (:meth:`repro.obs.Tracer.merge`,
-    :meth:`repro.obs.MetricsRegistry.merge`) into one coherent trace.
-
-    Parameters
-    ----------
-    task:
-        ``(shard_graph, kernel_options, rng)`` triple.
-
-    Returns
-    -------
-    tuple[SparsifyResult, float, list, dict]
-        The shard's result, its wall seconds, its span records and its
-        metrics snapshot.
-    """
-    tracer = Tracer()
-    metrics = MetricsRegistry()
-    with observed(tracer=tracer, metrics=metrics):
-        result, seconds = _sparsify_shard(task)
-    return result, seconds, tracer.records(), metrics.snapshot()
-
-
 class ShardedSparsifier:
-    """Shard-parallel similarity-aware sparsification pipeline.
+    """Sharded similarity-aware sparsification pipeline.
 
     Accepts every knob of
     :class:`~repro.sparsify.similarity_aware.SimilarityAwareSparsifier`
@@ -430,10 +358,6 @@ class ShardedSparsifier:
     ----------
     sigma2:
         Per-shard similarity target.
-    workers:
-        Concurrent shard workers.  With more than one worker and more
-        than one non-trivial shard the shards run in a process pool;
-        otherwise they run one after another in this process.
     shard_max_nodes:
         Optional cap on shard sizes; oversized components are split
         along Fiedler sign cuts (heuristic — see module docstring).
@@ -455,7 +379,7 @@ class ShardedSparsifier:
     >>> from repro.sparsify.parallel import ShardedSparsifier
     >>> g = disjoint_union(generators.grid2d(12, 12, seed=0),
     ...                    generators.grid2d(10, 10, seed=1))
-    >>> result = ShardedSparsifier(sigma2=100.0, workers=2, seed=0).sparsify(g)
+    >>> result = ShardedSparsifier(sigma2=100.0, seed=0).sparsify(g)
     >>> result.num_components
     2
     >>> result.sparsifier.num_edges <= g.num_edges
@@ -465,74 +389,22 @@ class ShardedSparsifier:
     def __init__(
         self,
         sigma2: float = 100.0,
-        workers: int = 1,
         shard_max_nodes: int | None = None,
         seed: int | np.random.Generator | None = None,
         **kernel_options,
     ) -> None:
-        if workers < 1:
-            raise ValueError(f"workers must be >= 1, got {workers}")
-        # Fail here, not inside a shard worker, on an unknown option.
+        # Fail here, not at the first shard, on an unknown option.
         SimilarityAwareSparsifier(sigma2=sigma2, **kernel_options)
         self.sigma2 = float(sigma2)
-        self.workers = int(workers)
         self.shard_max_nodes = shard_max_nodes
         self.seed = seed
         self.kernel_options = dict(kernel_options)
 
     # ------------------------------------------------------------------
-    # Execution
-    # ------------------------------------------------------------------
-    def _run_tasks(
-        self, tasks: list[tuple[Graph, dict, np.random.Generator]], parallel: bool
-    ) -> list[tuple[SparsifyResult, float]]:
-        """Execute shard tasks serially or in a process pool, preserving order.
-
-        Parameters
-        ----------
-        tasks:
-            One ``(graph, options, rng)`` triple per non-trivial shard.
-        parallel:
-            Run them in a process pool rather than one after another.
-
-        Returns
-        -------
-        list[tuple[SparsifyResult, float]]
-            Per-task results aligned with ``tasks``.
-        """
-        if not parallel:
-            return [_sparsify_shard(task) for task in tasks]
-        max_workers = min(self.workers, len(tasks))
-        # Process pool: fork shares the already-imported repro package and
-        # the (read-only) shard graphs with zero re-import cost; fall back
-        # to the platform default where fork is unavailable.
-        try:
-            context = multiprocessing.get_context("fork")
-        except ValueError:  # pragma: no cover - non-POSIX platforms
-            context = multiprocessing.get_context()
-        tracer = get_tracer()
-        metrics = get_metrics()
-        capture = tracer.enabled or metrics.enabled
-        worker = _sparsify_shard_observed if capture else _sparsify_shard
-        origin = tracer.now()
-        with concurrent.futures.ProcessPoolExecutor(
-            max_workers, mp_context=context
-        ) as pool:
-            raw = list(pool.map(worker, tasks))
-        if not capture:
-            return raw
-        outcomes = []
-        for result, seconds, records, snapshot in raw:
-            tracer.merge(records, offset=origin)
-            metrics.merge(snapshot)
-            outcomes.append((result, seconds))
-        return outcomes
-
-    # ------------------------------------------------------------------
     # Pipeline
     # ------------------------------------------------------------------
     def sparsify(self, graph: Graph) -> ShardedSparsifyResult:
-        """Plan shards, sparsify them concurrently and stitch the result.
+        """Plan shards, sparsify them one by one and stitch the result.
 
         Parameters
         ----------
@@ -562,23 +434,19 @@ class ShardedSparsifier:
                 rngs = [self.seed]  # single shard: match the serial pipeline
             else:
                 rngs = shard_rngs(self.seed, len(plan.shards))
-            # A pool of one is pure overhead, so one worker or one task
-            # runs serially, and the result records what actually ran.
-            parallel = self.workers > 1 and len(active) > 1
-            backend = "process" if parallel else "serial"
-            tasks = [
-                (shard.graph, self.kernel_options | {"sigma2": self.sigma2},
-                 rngs[shard.index])
-                for shard in active
-            ]
-            with tracer.span(
-                "shards.run", category="shard", backend=backend,
-                shards=len(active),
-            ):
-                outcomes = self._run_tasks(tasks, parallel)
+            outcomes = []
+            with tracer.span("shards.run", category="shard", shards=len(active)):
+                for shard in active:
+                    with Timer() as timer:
+                        # Shards are connected by construction; skip the
+                        # kernel's scan.
+                        local = SimilarityAwareSparsifier(
+                            sigma2=self.sigma2, seed=rngs[shard.index],
+                            **self.kernel_options,
+                        ).sparsify(shard.graph, check_connected=False)
+                    outcomes.append((local, timer.elapsed))
             with tracer.span("shards.stitch", category="shard"):
                 result = self._stitch(graph, plan, active, outcomes)
-        result.backend = backend
         result.wall_seconds = wall.elapsed
         return result
 
@@ -686,5 +554,4 @@ class ShardedSparsifier:
             shards=[stats[i] for i in range(len(plan.shards))],
             num_components=plan.num_components,
             cut_edge_indices=plan.cut_edge_indices,
-            workers=self.workers,
         )

@@ -197,8 +197,8 @@ class SimilarityAwareSparsifier:
 
         ``[TreeStage, DensifyStage]`` plus a terminal
         :class:`~repro.core.stages.RescaleStage` when ``rescale`` is
-        set — the same composition every subsystem mounts (the shard
-        workers run it per shard; the streaming/serving layers run the
+        set — the same composition every subsystem mounts (the sharded
+        pipeline runs it per shard; the streaming/serving layers run the
         densify stage against their live state).
 
         Returns
@@ -372,15 +372,14 @@ def refine_sparsifier(
 def sparsify_graph(
     graph: Graph,
     sigma2: float = 100.0,
-    workers: int = 1,
     shard_max_nodes: int | None = None,
     **options,
 ) -> SparsifyResult:
     """Functional one-shot entry point (see :class:`SimilarityAwareSparsifier`).
 
-    Connected graphs with the default orchestration knobs run the serial
-    kernel directly.  Disconnected graphs, ``workers > 1`` or
-    ``shard_max_nodes`` route through the shard-parallel pipeline
+    Connected graphs without ``shard_max_nodes`` run the serial kernel
+    directly.  Disconnected graphs and ``shard_max_nodes`` route through
+    the sharded pipeline
     (:class:`repro.sparsify.parallel.ShardedSparsifier`), so real-world
     multi-component inputs work end-to-end instead of raising.
 
@@ -390,8 +389,6 @@ def sparsify_graph(
         Host graph; may be disconnected.
     sigma2:
         Target spectral similarity (per shard on sharded runs).
-    workers:
-        Concurrent shard workers (1 = serial).
     shard_max_nodes:
         Optional cap on shard sizes; oversized components are split
         along Fiedler sign cuts.
@@ -414,12 +411,11 @@ def sparsify_graph(
     >>> r.density < g.density
     True
     """
-    if workers != 1 or shard_max_nodes is not None or not is_connected(graph):
+    if shard_max_nodes is not None or not is_connected(graph):
         from repro.sparsify.parallel import ShardedSparsifier
 
         return ShardedSparsifier(
             sigma2=sigma2,
-            workers=workers,
             shard_max_nodes=shard_max_nodes,
             **options,
         ).sparsify(graph)

@@ -9,7 +9,7 @@ that convention so behaviour is identical everywhere:
   pipeline's :class:`~repro.core.context.PipelineContext` seeds all
   stages through it);
 - :func:`spawn_rngs` / :func:`shard_rngs` — deterministic child-stream
-  derivation, shared by the shard-parallel pipeline, stream workload
+  derivation, shared by the sharded pipeline, stream workload
   generation and anything else that fans one root seed out to
   independent subproblems;
 - :func:`rng_state` / :func:`restore_rng` — exact bit-generator state
@@ -64,10 +64,9 @@ def shard_rngs(
     """Deterministic per-subproblem child generators.
 
     Subproblem ``i`` of a decomposition is always driven by
-    ``shard_rngs(seed, count)[i]``, independent of execution order
-    and worker count — this is what makes a sharded (or
-    otherwise fanned-out) run a pure function of ``(input, options,
-    seed)``.  Exposed so callers can reproduce a single subproblem's
+    ``shard_rngs(seed, count)[i]``, independent of the order the
+    subproblems run in — this is what makes a sharded run a pure
+    function of ``(input, options, seed)``.  Exposed so callers can reproduce a single subproblem's
     serial run (the shard-parity tests do exactly that).
 
     Parameters

@@ -70,7 +70,7 @@ class TestDisconnectedNetworks:
             generators.barabasi_albert(300, 5, seed=1),
             generators.grid2d(12, 12, weights="uniform", seed=2),
         )
-        report = simplify_network(g, sigma2=100.0, seed=0, workers=2,
+        report = simplify_network(g, sigma2=100.0, seed=0,
                                   time_eigensolves=False)
         assert isinstance(report.result, ShardedSparsifyResult)
         assert report.edge_reduction >= 1.0

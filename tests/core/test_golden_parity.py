@@ -7,7 +7,7 @@ below, lifted verbatim from the pre-refactor `densify()` and
 `DynamicSparsifier._redensify`) must produce **bit-identical** masks,
 trees and RNG states to the pipeline reimplementations for fixed seeds
 across grid, random (scale-free) and disconnected graphs, covering all
-four consumers: batch, shard-parallel, streaming drift repair and the
+four consumers: batch, sharded, streaming drift repair and the
 serving registry build.
 """
 

@@ -97,48 +97,38 @@ class TestCriticalPath:
 
 
 class TestMultiThreadMerge:
-    """Critical path on tid-remapped `Tracer.merge` output (the shape
-    shard process workers ship back)."""
+    """Critical path and wall clock on one trace that holds several
+    thread lanes (the shape the service's handler threads produce)."""
 
-    def _worker_records(self, name, dur):
-        worker = Tracer()
-        with worker.span(name, category="shard"):
-            with worker.span(f"{name}.inner", category="kernel"):
-                time.sleep(dur)
-        return worker.records()
-
-    def test_merged_lanes_get_fresh_tids(self):
-        parent = Tracer()
-        with parent.span("driver", category="stage"):
-            pass
-        parent.merge(self._worker_records("shard0", 0.002))
-        parent.merge(self._worker_records("shard1", 0.001))
-        tids = {r.tid for r in parent.records()}
-        assert len(tids) == 3  # driver lane + one lane per worker
+    @staticmethod
+    def _lane(name, start, dur, tid):
+        """A root span on its own lane with one child filling 80% of it."""
+        return [
+            rec(name, start, dur, tid=tid, category="serve"),
+            rec(f"{name}.inner", start + 0.1 * dur, 0.8 * dur, tid=tid,
+                category="solver", depth=1, parent=name),
+        ]
 
     def test_critical_path_follows_busiest_merged_lane(self):
-        parent = Tracer()
-        with parent.span("driver", category="stage"):
-            pass
-        parent.merge(self._worker_records("shard_fast", 0.001))
-        parent.merge(self._worker_records("shard_slow", 0.02), offset=1.0)
-        path = critical_path(parent.records())
+        records = (
+            [rec("driver", 0.0, 0.001, tid=0)]
+            + self._lane("req_fast", 0.0, 0.001, tid=1)
+            + self._lane("req_slow", 1.0, 0.02, tid=2)
+        )
+        path = critical_path(records)
+        assert path.tid == 2
         assert [e["name"] for e in path.entries] == [
-            "shard_slow", "shard_slow.inner"
+            "req_slow", "req_slow.inner"
         ]
         assert sum(e["path_seconds"] for e in path.entries) == pytest.approx(
             path.total_seconds
         )
 
     def test_wall_clock_sums_all_lanes(self):
-        parent = Tracer()
-        parent.merge(self._worker_records("s0", 0.001))
-        parent.merge(self._worker_records("s1", 0.001))
-        records = parent.records()
-        roots = [r for r in records if r.depth == 0]
-        assert wall_clock(records) == pytest.approx(
-            sum(r.duration for r in roots)
+        records = self._lane("r0", 0.0, 0.001, tid=1) + self._lane(
+            "r1", 0.0005, 0.002, tid=2
         )
+        assert wall_clock(records) == pytest.approx(0.003)
 
 
 class TestLoadTrace:

@@ -135,57 +135,20 @@ class TestHistogram:
 
 
 # ----------------------------------------------------------------------
-# Snapshot / merge / reset
+# Snapshot / reset
 # ----------------------------------------------------------------------
 
-class TestSnapshotMerge:
-    def test_merge_accumulates_counters_and_histograms(self):
-        a, b = MetricsRegistry(), MetricsRegistry()
-        a.counter("repro_c_total", "C.").inc(2)
-        b.counter("repro_c_total", "C.").inc(3)
-        a.histogram("repro_h", "H.", buckets=(1.0, 2.0)).observe(0.5)
-        b.histogram("repro_h", "H.", buckets=(1.0, 2.0)).observe(1.5)
-        b.gauge("repro_g", "G.").set(7.0)
-
-        a.merge(b.snapshot())
-        assert a.counter("repro_c_total", "C.").value() == 5.0
-        assert a.histogram("repro_h", "H.", buckets=(1.0, 2.0)).count() == 2
-        assert a.gauge("repro_g", "G.").value() == 7.0  # created on merge
-
-    def test_merge_gauge_last_write_wins(self):
-        a, b = MetricsRegistry(), MetricsRegistry()
-        a.gauge("repro_g", "G.").set(1.0)
-        b.gauge("repro_g", "G.").set(9.0)
-        a.merge(b.snapshot())
-        assert a.gauge("repro_g", "G.").value() == 9.0
-
-    def test_merge_labeled_families(self):
-        a, b = MetricsRegistry(), MetricsRegistry()
-        a.counter("repro_c_total", "C.", labelnames=("k",)).inc(k="x")
-        b.counter("repro_c_total", "C.", labelnames=("k",)).inc(2, k="x")
-        b.counter("repro_c_total", "C.", labelnames=("k",)).inc(5, k="y")
-        a.merge(b.snapshot())
-        fam = a.counter("repro_c_total", "C.", labelnames=("k",))
-        assert fam.value(k="x") == 3.0
-        assert fam.value(k="y") == 5.0
-
-    def test_merge_shape_mismatch_rejected(self):
-        a, b = MetricsRegistry(), MetricsRegistry()
-        a.counter("repro_c_total", "C.")
-        b.gauge("repro_c_total", "C but a gauge.")
-        with pytest.raises(ValueError):
-            a.merge(b.snapshot())
-
-    def test_merge_snapshot_roundtrip_is_json_safe(self):
+class TestSnapshot:
+    def test_snapshot_roundtrip_is_json_safe(self):
+        # `GET /stats` embeds this dict, so it must survive strict JSON.
         a = MetricsRegistry()
         a.counter("repro_c_total", "C.", labelnames=("k",)).inc(k="x")
+        a.gauge("repro_g", "G.").set(0.5)
         a.histogram("repro_h", "H.").observe(0.01)
-        restored = json.loads(json.dumps(a.snapshot()))
-        fresh = MetricsRegistry()
-        fresh.merge(restored)
-        assert fresh.counter(
-            "repro_c_total", "C.", labelnames=("k",)
-        ).value(k="x") == 1.0
+        snapshot = a.snapshot()
+        assert json.loads(json.dumps(snapshot, allow_nan=False)) == snapshot
+        assert snapshot["repro_c_total"]["values"] == {json.dumps(["x"]): 1.0}
+        assert snapshot["repro_h"]["values"][json.dumps([])]["count"] == 1
 
     def test_reset(self, reg):
         reg.counter("repro_c_total", "C.").inc(5)
@@ -271,7 +234,6 @@ class TestNullMetrics:
         assert not NULL_METRICS.enabled
         assert NULL_METRICS.snapshot() == {}
         assert NULL_METRICS.render_prometheus() == ""
-        NULL_METRICS.merge({"anything": {}})  # ignored, no error
         NULL_METRICS.reset()
 
 

@@ -4,7 +4,7 @@ Instrumentation is strictly passive: running any consumer of the filter
 loop with a live tracer *and* metrics registry must produce bit-identical
 masks, backbones, σ² estimates and RNG streams to a run with collectors
 disabled.  The scenarios mirror the golden-parity suite's four consumers
-(batch, shard-parallel, streaming, serving registry build), plus the
+(batch, sharded, streaming, serving registry build), plus the
 "profile is a view over the trace" contract: the per-stage seconds the
 pipeline writes into its :class:`~repro.core.profile.PipelineProfile`
 are the *same numbers* its stage spans record, so a profile
@@ -90,18 +90,15 @@ class TestBatchParity:
 
 
 class TestShardParity:
-    @pytest.mark.parametrize("backend", ["serial", "process"])
-    def test_sharded_bit_identical(self, backend):
+    def test_sharded_bit_identical(self):
         graph = disjoint_union(
             generators.grid2d(7, 7, weights="uniform", seed=0),
             generators.grid2d(6, 6, weights="uniform", seed=1),
         )
-        workers = 1 if backend == "serial" else 2
-        kwargs = dict(sigma2=60.0, workers=workers, seed=11)
+        kwargs = dict(sigma2=60.0, seed=11)
 
         obs.disable()
         off = ShardedSparsifier(**kwargs).sparsify(graph)
-        assert off.backend == backend
 
         tracer, metrics = _observed_pair()
         with obs.observed(tracer=tracer, metrics=metrics):
@@ -111,14 +108,13 @@ class TestShardParity:
         assert [s.sparsifier_edges for s in off.shards] == [
             s.sparsifier_edges for s in on.shards
         ]
-        # Per-shard spans are present in the parent trace: natively for
-        # serial/thread, merged from the workers for process pools.
+        # Every shard's stage spans land in the one trace.
         stage_spans = tracer.records(category="stage")
         assert sum(1 for r in stage_spans if r.name == "tree") >= 2
         assert {r.name for r in tracer.records(category="shard")} == {
             "shards.plan", "shards.run", "shards.stitch",
         }
-        # Worker metrics merged back into the parent registry.
+        # Every shard's solves land in the one registry.
         assert _estimate_solves(metrics) >= 2.0
 
 

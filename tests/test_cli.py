@@ -92,17 +92,6 @@ class TestSparsifyDisconnected:
         assert np.all(graph.has_edges(sparsifier.u, sparsifier.v))
         assert "3 components" in capsys.readouterr().out
 
-    def test_workers_flag(self, disconnected_file, tmp_path):
-        path, _ = disconnected_file
-        serial = tmp_path / "serial.mtx"
-        parallel = tmp_path / "parallel.mtx"
-        assert main(["sparsify", str(path), "-o", str(serial)]) == 0
-        assert main(["sparsify", str(path), "-o", str(parallel),
-                     "--workers", "2"]) == 0
-        a = load_graph_matrix_market(serial)
-        b = load_graph_matrix_market(parallel)
-        assert a == b  # worker count must not change the sparsifier
-
     def test_profile_flag_on_sharded_run(self, disconnected_file, tmp_path,
                                          capsys):
         path, _ = disconnected_file
@@ -293,7 +282,8 @@ class TestExitCodes:
         assert main(["stream", str(log)]) == 2  # neither --graph nor --resume
 
     @pytest.mark.parametrize(
-        "flag", ["--kernel-backend", "--estimator-backend", "--backend"]
+        "flag", ["--kernel-backend", "--estimator-backend", "--backend",
+                 "--workers"]
     )
     def test_removed_backend_flags_are_usage_errors(self, graph_file, tmp_path,
                                                     flag, capsys):

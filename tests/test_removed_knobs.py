@@ -2,10 +2,12 @@
 
 The solver is picked from the graph (a direct factorization up to
 ``repro.sparsify.state.DIRECT_SOLVER_MAX_NODES`` vertices, AMG beyond,
-with the module's fixed update budgets) and the shard executor from
-the worker count.  Passing one of the removed knobs, even at its old
-default, must be an error at the call, never a silently ignored
-argument.  The CLI edge is pinned in ``tests/test_cli.py``.
+with the module's fixed update budgets), and shards always run in one
+serial loop in the calling process, so there is neither a shard
+executor nor a worker count to choose.  Passing one of the removed
+knobs, even at its old default, must be an error at the call, never a
+silently ignored argument.  The CLI edge is pinned in
+``tests/test_cli.py``.
 """
 
 from __future__ import annotations
@@ -44,6 +46,7 @@ REMOVED = {
     "max_update_rank": 64,
     "amg_rebuild_every": 8,
     "backend": "auto",
+    "workers": 1,
 }
 
 
