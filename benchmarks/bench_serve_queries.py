@@ -13,10 +13,13 @@ answers.  The warm per-query loop (shared factorization, one solve per
 query) is also reported, isolating the artifact-reuse win from the
 multi-RHS coalescing win.
 
-A second, layer-level check times the pair-row resistance path
+A second, layer-level check times the pair-form resistance path
 (:meth:`~repro.solvers.DirectSolver.pair_resistances`, which the engine
-uses with the direct solver) against solve-and-gather on the same warm
-solver, at a Woodbury rank the serving tier reaches under event churn.
+uses with the direct solver: a forward solve on the elimination-tree
+reach of the pair endpoints) against solve-and-gather on the same warm
+solver, at a Woodbury rank the serving tier reaches under event churn,
+and sweeps the block size over 1, 8, 64 and 256 pairs on a fresh
+factorization.
 
 Run explicitly (benchmarks are not collected by the default test run):
 
@@ -155,6 +158,46 @@ def test_pair_rows_beat_solve_and_gather(smoke):
     )
     if not smoke:
         assert speedup >= PAIR_ROW_SPEEDUP_FLOOR
+
+
+#: Pairs per resistance block in the sweep.
+SWEEP_PAIRS = (1, 8, 64, 256)
+
+
+def test_pair_forms_sweep_block_sizes(smoke):
+    """Pair forms against solve-and-gather at 1, 8, 64 and 256 pairs on
+    the σ²=100 sparsifier of a grid: the same answers to 1e-12 at every
+    size (the smoke check), and from 8 pairs up no slower than
+    ``PAIR_ROW_SPEEDUP_FLOOR`` (full mode)."""
+    side = 30 if smoke else 100
+    reps = 2 if smoke else 20
+    graph = generators.grid2d(side, side, weights="uniform", seed=4)
+    dyn = DynamicSparsifier(graph, sigma2=SIGMA2, seed=0)
+    solver = dyn.solver()
+    generic = _SolveOnly(solver)
+    rng = np.random.default_rng(13)
+    exact_effective_resistances(graph, _query_pairs(graph.n, 2, rng), solver=solver)
+    rows = []
+    for k in SWEEP_PAIRS:
+        t_pair, t_gather = [], []
+        for _ in range(reps):
+            pairs = _query_pairs(graph.n, k, rng)
+            start = time.perf_counter()
+            fast = exact_effective_resistances(graph, pairs, solver=solver)
+            t_pair.append(time.perf_counter() - start)
+            start = time.perf_counter()
+            slow = exact_effective_resistances(graph, pairs, solver=generic)
+            t_gather.append(time.perf_counter() - start)
+            np.testing.assert_allclose(fast, slow, rtol=1e-12, atol=0)
+        rows.append((k, 1e3 * float(np.median(t_pair)), 1e3 * float(np.median(t_gather))))
+    print(f"\ngrid2d({side}x{side}) sparsifier, medians of {reps}:")
+    for k, pair_ms, gather_ms in rows:
+        print(f"  {k:4d} pairs: pair forms {pair_ms:8.2f} ms vs solve-and-gather "
+              f"{gather_ms:8.2f} ms ({gather_ms / max(pair_ms, 1e-12):.2f}x)")
+    if not smoke:
+        for k, pair_ms, gather_ms in rows:
+            if k >= 8:
+                assert gather_ms / pair_ms >= PAIR_ROW_SPEEDUP_FLOOR, k
 
 
 def test_http_latency_quantiles_from_metrics(smoke, tmp_path):

@@ -12,7 +12,15 @@ reader and writer (``scipy.io.mmread``/``mmwrite``, SciPy >= 1.12).
 The module checks the banner and the size line itself before SciPy
 sees the file, so a header it does not support, a dimension beyond
 SuperLU's 32-bit index range or an entry count the body cannot hold is
-refused before anything is allocated.  Every malformed file raises
+refused before anything is allocated.  SciPy's reader takes the numeric
+prefix of a token (``1.5abc`` reads as 1.5, ``0x10`` as 0.0, ``1_0`` as
+1.0) and crashes the interpreter on a last line that ends in anything
+but its newline (``2 1 1.5 `` at the end of the file), so one C-level
+pass (:meth:`bytes.translate`) first refuses a body holding any byte
+that cannot be part of a number or the whitespace between numbers, and
+a missing final newline is supplied.  That pass sees bytes, not
+tokens: a token made of number bytes in the wrong order (``1..5``,
+``1e5e``) still reads as its prefix.  Every malformed file raises
 :class:`ValueError`.  Each Matrix Market read and write opens one
 ``io`` span annotated with the file's entry count, so a traced run
 attributes its load and write time.
@@ -21,7 +29,6 @@ attributes its load and write time.
 from __future__ import annotations
 
 import io as _io
-import os
 from pathlib import Path
 
 import numpy as np
@@ -49,6 +56,10 @@ MAX_DIMENSION = np.iinfo(np.int32).max
 #: Fewest bytes an entry line takes: ``1 1`` and its newline.
 _MIN_ENTRY_BYTES = 4
 
+#: Every byte a coordinate body may hold: digits, signs, the decimal
+#: point, exponent marks and the whitespace around tokens.
+_BODY_BYTES = b"0123456789+-.eE \t\r\n"
+
 
 def read_matrix_market(path: str | Path | _io.TextIOBase) -> sp.coo_matrix:
     """Parse a Matrix Market coordinate file into a COO matrix.
@@ -66,27 +77,26 @@ def read_matrix_market(path: str | Path | _io.TextIOBase) -> sp.coo_matrix:
     ValueError
         On an unsupported banner, a malformed or oversized size line,
         a body that holds fewer or more entries than declared, an index
-        outside the declared shape, or a token that is not a number.
+        outside the declared shape, a byte in the body that cannot be
+        part of a number, or a token that is not a number.
     """
     with get_tracer().span("io.read_matrix_market", category="io") as span:
         if isinstance(path, (str, Path)):
             with open(path, "rb") as handle:
-                size = os.fstat(handle.fileno()).st_size
-                matrix, entries = _read_coordinate(handle, size)
+                data = handle.read()
         else:
-            # Read whole: SciPy parses bytes, and the size check needs the length.
             data = path.read().encode("utf-8")
-            matrix, entries = _read_coordinate(_io.BytesIO(data), len(data))
+        matrix, entries = _read_coordinate(data)
         span.annotate(entries=entries)
     return matrix
 
 
-def _read_coordinate(handle, size: int) -> tuple[sp.coo_matrix, int]:
-    """Check the header of a binary Matrix Market stream, then parse it.
+def _read_coordinate(data: bytes) -> tuple[sp.coo_matrix, int]:
+    """Check the header and body bytes of a Matrix Market file, then parse it.
 
-    ``size`` is the stream's length in bytes.  Returns the matrix and
-    the entry count its size line declares.
+    Returns the matrix and the entry count its size line declares.
     """
+    handle = _io.BytesIO(data)
     header = handle.readline().decode("utf-8", "replace").strip().lower().split()
     if len(header) < 5 or header[0] != "%%matrixmarket" or header[1] != "matrix":
         raise ValueError("not a MatrixMarket matrix file")
@@ -109,15 +119,26 @@ def _read_coordinate(handle, size: int) -> tuple[sp.coo_matrix, int]:
             f"size line declares a {nrows} x {ncols} matrix with {entries} "
             f"entries; rows and columns must lie in [0, {MAX_DIMENSION}]"
         )
-    body = size - handle.tell()
+    start = handle.tell()
+    body = len(data) - start
     # The last entry line may end without its newline.
     if _MIN_ENTRY_BYTES * entries > body + 1:
         raise ValueError(
             f"size line declares {entries} entries, but only {body} bytes follow it"
         )
-    handle.seek(0)
+    # The file's stray bytes keep their order, so the body's follow the
+    # header's (banner, comments and size line), and no body copy is made.
+    stray = data.translate(None, _BODY_BYTES)
+    in_header = len(data[:start].translate(None, _BODY_BYTES))
+    if len(stray) > in_header:
+        raise ValueError(
+            f"malformed Matrix Market body: byte {stray[in_header:][:1]!r} is "
+            "not part of an integer or floating-point number"
+        )
+    if not data.endswith(b"\n"):
+        data += b"\n"
     try:
-        matrix = scipy.io.mmread(handle)
+        matrix = scipy.io.mmread(_io.BytesIO(data))
     except ValueError as exc:
         raise ValueError(f"malformed Matrix Market body: {exc}") from exc
     return matrix.astype(np.float64, copy=False), entries

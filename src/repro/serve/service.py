@@ -2,9 +2,15 @@
 
 A thin stdlib (:class:`http.server.ThreadingHTTPServer`) front end over
 a :class:`~repro.serve.SparsifierRegistry` — no framework, no new
-dependencies.  One handler thread per connection; per-artifact engine
-locks serialize queries against event application, and the registry
-lock serializes admissions/evictions.
+dependencies.  The handler speaks HTTP/1.1 with ``TCP_NODELAY``, so a
+connection stays open across requests (until the client sends
+``Connection: close``) and keeps its one handler thread; per-artifact
+engine locks serialize queries against event application, and the
+registry lock serializes admissions/evictions.  A response whose
+request body was left unread (a bad ``Content-Length``, a ``413``) and
+the ``/shutdown`` response close their connection, and
+:meth:`SparsifierService.stop` ends every connection still open, so no
+idle handler thread outlives the service.
 
 Routes (all bodies and responses are JSON; array fields are marked
 ``[f8]`` or ``[i8]``):
@@ -72,20 +78,25 @@ bumps ``repro_http_errors_total{endpoint,status}``, which the default
 ``http_server_errors`` alert rule reads for 500s: after one, ``GET
 /health`` answers 503 until the process restarts.
 
-:class:`ServeClient` is the matching in-process client (stdlib
-``urllib``), used by the CLI, the tests and the benchmark.
+:class:`ServeClient` is the matching in-process client, used by the
+CLI, the tests and the benchmark.  It keeps one persistent stdlib
+:class:`http.client.HTTPConnection` per calling thread and sends a
+request again, once, when a *reused* connection turns out to have been
+closed by the server while it sat idle; :meth:`ServeClient.close` (or a
+``with`` block) closes its connections.
 """
 
 from __future__ import annotations
 
 import base64
 import binascii
+import http.client
 import json
 import logging
 import math
+import socket
 import threading
-import urllib.error
-import urllib.request
+import weakref
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import numpy as np
@@ -186,24 +197,66 @@ def _reply(array: np.ndarray, sent) -> dict | list:
     return _pack(array, _F8) if isinstance(sent, dict) else array.tolist()
 
 
+class _Server(ThreadingHTTPServer):
+    """A threading HTTP server that can end its open connections."""
+
+    # Non-daemon handler threads are the ones server_close() joins.
+    daemon_threads = False
+
+    def __init__(self, address, handler) -> None:
+        self._connections: set = set()
+        self._connections_lock = threading.Lock()
+        super().__init__(address, handler)
+
+    def process_request(self, request, client_address) -> None:
+        # Recorded on the serve loop's thread, so once shutdown() has
+        # returned every accepted connection is in the set.
+        with self._connections_lock:
+            self._connections.add(request)
+        super().process_request(request, client_address)
+
+    def shutdown_request(self, request) -> None:
+        with self._connections_lock:
+            self._connections.discard(request)
+        super().shutdown_request(request)
+
+    def end_connections(self) -> None:
+        """Shut the read side of every open connection.
+
+        A handler waiting for the next request reads end of input and
+        returns; one busy with a request still sends its response.
+        """
+        with self._connections_lock:
+            connections = list(self._connections)
+        for connection in connections:
+            try:
+                connection.shutdown(socket.SHUT_RD)
+            except OSError:
+                pass  # its handler closed it meanwhile
+
+
 class _Handler(BaseHTTPRequestHandler):
     """Routes HTTP requests into the bound service (internal)."""
 
     service: "SparsifierService"  # bound per-service via a subclass
+    protocol_version = "HTTP/1.1"
+    disable_nagle_algorithm = True
 
     def log_message(self, format: str, *args) -> None:  # noqa: A002
         pass  # no stderr chatter from handler threads
 
-    def _send(self, status: int, payload: dict) -> None:
+    def _send(self, status: int, payload: dict, close: bool = False) -> None:
         body = json.dumps(payload).encode("utf-8")
-        self._send_bytes(status, body, "application/json")
+        self._send_bytes(status, body, "application/json", close)
 
     def _send_text(self, status: int, text: str) -> None:
         self._send_bytes(
             status, text.encode("utf-8"), "text/plain; version=0.0.4"
         )
 
-    def _send_bytes(self, status: int, body: bytes, content_type: str) -> None:
+    def _send_bytes(
+        self, status: int, body: bytes, content_type: str, close: bool = False
+    ) -> None:
         if status >= 400:
             get_metrics().counter(
                 "repro_http_errors_total",
@@ -214,6 +267,9 @@ class _Handler(BaseHTTPRequestHandler):
         self.send_response(status)
         self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(body)))
+        if close:
+            self.send_header("Connection", "close")
+            self.close_connection = True
         self.end_headers()
         # Observed before the body goes out, like the error counter, so a
         # client that has read its response finds it in /metrics.
@@ -257,9 +313,13 @@ class _Handler(BaseHTTPRequestHandler):
             length = int(header)
         except ValueError:
             length = -1
+        # Both refusals leave the body unread, so the connection cannot
+        # carry another request: they close it.
         if length < 0:
             # A negative length would make rfile.read wait for EOF.
-            self._send(400, {"error": f"invalid Content-Length {header!r}"})
+            self._send(
+                400, {"error": f"invalid Content-Length {header!r}"}, close=True
+            )
             return
         if length > MAX_BODY_BYTES:
             # Refuse before reading: rfile.read would allocate the whole
@@ -267,7 +327,7 @@ class _Handler(BaseHTTPRequestHandler):
             self._send(413, {
                 "error": f"Content-Length {length} exceeds the "
                 f"{MAX_BODY_BYTES}-byte limit"
-            })
+            }, close=True)
             return
         raw = self.rfile.read(length)
         try:
@@ -297,7 +357,7 @@ class _Handler(BaseHTTPRequestHandler):
             _LOG.exception("POST %s failed", self.path)
             self._send(500, {"error": "internal server error"})
             return
-        self._send(200, result)
+        self._send(200, result, close=self.path == "/shutdown")
         if self.path == "/shutdown":
             # Stop the serve_forever loop from outside the handler thread
             # once the response is on the wire.
@@ -358,7 +418,7 @@ class SparsifierService:
         if metrics:
             enable_metrics()
         handler = type("_BoundHandler", (_Handler,), {"service": self})
-        self._server = ThreadingHTTPServer((host, port), handler)
+        self._server = _Server((host, port), handler)
         self._thread: threading.Thread | None = None
 
     @property
@@ -404,12 +464,21 @@ class SparsifierService:
             self._thread.join()
 
     def stop(self) -> None:
-        """Stop the serve loop and close the listening socket."""
-        self._server.shutdown()
+        """Stop serving: end the loop, every connection and the socket.
+
+        The listening socket closes and every open connection's read
+        side is shut; requests already being handled still get their
+        responses, and the call returns once every handler thread has
+        finished.
+        """
         if self._thread is not None:
+            # shutdown() waits for a running serve loop: never call it
+            # on a service that was not started.
+            self._server.shutdown()
             self._thread.join()
             self._thread = None
-        self._server.server_close()
+        self._server.end_connections()
+        self._server.server_close()  # joins the handler threads
 
     def __enter__(self) -> "SparsifierService":
         self.start()
@@ -541,6 +610,14 @@ class ServiceError(RuntimeError):
         self.body = body
 
 
+def _close_all(connections: dict, lock: threading.Lock) -> None:
+    """Close and forget every connection in ``connections``."""
+    with lock:
+        for connection in connections.values():
+            connection.close()
+        connections.clear()
+
+
 class ServeClient:
     """In-process JSON client for :class:`SparsifierService`.
 
@@ -552,41 +629,100 @@ class ServeClient:
     boolean, fractional or non-finite label raises :class:`ValueError`
     here rather than a :class:`ServiceError` from the service.
 
+    Each calling thread gets one persistent HTTP/1.1 connection, opened
+    at its first request.  A request that fails on a *reused*
+    connection with a connection error (the server closed it while it
+    sat idle) is sent once more on a new connection; any other failure,
+    and any failure on a fresh connection, is raised.  :meth:`close`
+    closes the connections (the client stays usable and reconnects);
+    the client is also a context manager that closes on exit, and
+    closes what is left when it is garbage collected.
+
     Parameters
     ----------
     url:
-        Service base URL (``service.url``).
+        Service base URL (``service.url``): ``http://host:port``.
     timeout:
         Per-request socket timeout in seconds.
+
+    Raises
+    ------
+    ValueError
+        If ``url`` is not an ``http://`` URL.
     """
 
     def __init__(self, url: str, timeout: float = 30.0) -> None:
         self.url = url.rstrip("/")
         self.timeout = float(timeout)
+        scheme, sep, rest = self.url.partition("://")
+        if scheme != "http" or not sep:
+            raise ValueError(f"ServeClient needs an http:// URL, got {url!r}")
+        self._netloc, _, prefix = rest.partition("/")
+        self._prefix = "/" + prefix if prefix else ""
+        self._connections: dict[threading.Thread, http.client.HTTPConnection] = {}
+        self._lock = threading.Lock()
+        weakref.finalize(self, _close_all, self._connections, self._lock)
+
+    def close(self) -> None:
+        """Close every connection the client holds.
+
+        The next request opens a new one.
+        """
+        _close_all(self._connections, self._lock)
+
+    def __enter__(self) -> "ServeClient":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
+    def _connection(self) -> http.client.HTTPConnection:
+        """The calling thread's connection (not yet connected if new)."""
+        thread = threading.current_thread()
+        connection = self._connections.get(thread)
+        if connection is None:
+            connection = http.client.HTTPConnection(
+                self._netloc, timeout=self.timeout
+            )
+            with self._lock:
+                for ended in [t for t in self._connections if not t.is_alive()]:
+                    self._connections.pop(ended).close()
+                self._connections[thread] = connection
+        return connection
+
+    def _call(self, method: str, path: str, payload: dict | None = None) -> bytes:
+        """One request; the response body, or :class:`ServiceError` for a
+        status of 400 or more."""
+        data = None if payload is None else json.dumps(payload).encode("utf-8")
+        headers = {} if data is None else {"Content-Type": "application/json"}
+        connection = self._connection()
+        for attempt in range(2):
+            reused = connection.sock is not None
+            try:
+                connection.request(method, self._prefix + path, data, headers)
+                response = connection.getresponse()
+                body = response.read()
+                break
+            except ConnectionError:
+                connection.close()
+                if attempt or not reused:
+                    raise
+            except BaseException:
+                connection.close()  # never reuse a half-read exchange
+                raise
+        if response.status < 400:
+            return body
+        try:
+            parsed = json.loads(body)
+        except ValueError:
+            parsed = None
+        message = f"HTTP {response.status} {response.reason}"
+        if isinstance(parsed, dict):
+            message = parsed.get("error", message)
+        raise ServiceError(response.status, message, body=parsed)
 
     def _request(self, method: str, path: str, payload: dict | None = None) -> dict:
-        data = None if payload is None else json.dumps(payload).encode("utf-8")
-        request = urllib.request.Request(
-            self.url + path,
-            data=data,
-            headers={"Content-Type": "application/json"},
-            method=method,
-        )
-        try:
-            with urllib.request.urlopen(request, timeout=self.timeout) as response:
-                return json.loads(response.read())
-        except urllib.error.HTTPError as exc:
-            body = None
-            try:
-                body = json.loads(exc.read())
-                message = body.get("error", str(exc)) if isinstance(
-                    body, dict
-                ) else str(exc)
-            except (json.JSONDecodeError, ValueError):  # pragma: no cover
-                message = str(exc)
-            finally:
-                exc.close()  # the error response holds the socket open
-            raise ServiceError(exc.code, message, body=body) from exc
+        return json.loads(self._call(method, path, payload))
 
     def _query(self, path: str, payload: dict, result: str) -> np.ndarray:
         """POST a query; unpack the float array field ``result`` of the reply."""
@@ -734,9 +870,7 @@ class ServeClient:
             The exposition body (empty when metrics are disabled
             service-side).
         """
-        request = urllib.request.Request(self.url + "/metrics", method="GET")
-        with urllib.request.urlopen(request, timeout=self.timeout) as response:
-            return response.read().decode("utf-8")
+        return self._call("GET", "/metrics").decode("utf-8")
 
     def health(self) -> dict:
         """SLO health from ``GET /health`` (both 200 and 503 bodies).

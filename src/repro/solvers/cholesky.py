@@ -47,11 +47,28 @@ costs ``b`` triangular solves, an ``O(k·b)`` gather for the new
 capacitance blocks and an ``O((k+b)³)`` dense capacitance
 factorization.  A solve with ``m`` right-hand sides costs the bare
 triangular solves plus an ``O(k·m)`` gather, a ``k × k`` capacitance
-solve and an ``O(n·k·m)`` product with ``Z``.  The quadratic forms
-``(e_u − e_v)ᵀ A⁺ (e_u − e_v)`` of ``m`` vertex pairs
-(:meth:`DirectSolver.pair_resistances`) need the solution only at the
-pair rows, so they skip that product: the bare triangular solves, a
-two-row gather of ``Z`` per pair and the capacitance solve.
+solve and an ``O(n·k·m)`` product with ``Z``.
+
+The quadratic forms ``bᵀ A⁻¹ b`` of ``m`` vertex pairs, ``b = e_u −
+e_v`` (:meth:`DirectSolver.pair_resistances`), need no backward solve
+and no full forward solve.  Symmetric mode pivots on the diagonal, so
+SuperLU permutes rows and columns alike, ``P A Pᵀ = L U``, and
+``U = D Lᵀ`` with ``D = diag(U)``; hence ``bᵀ A⁻¹ b = ‖D^{-1/2} L⁻¹ P
+b‖²``.  The forward solve of a column with two nonzeros fills only the
+rows on the elimination-tree paths from those two rows to the root
+(the *reach*: the etree parent of column ``j`` is its first
+off-diagonal row in ``L``), so a block of pairs solves ``L`` restricted
+to the union of its reaches with :func:`scipy.sparse.linalg.spsolve_triangular`:
+``O(nnz(reach))`` memory and work per column instead of all of ``L``
+and ``U``, plus the two-row gather of ``Z`` per pair and the
+capacitance solve.  The etree is cut into heavy chains (each vertex
+continues the chain of its largest child subtree) laid out
+contiguously, so every root path is ``O(log n)`` index ranges, found
+by one jump per chain.  The tables for this — ``L`` in CSC, ``1/D``,
+the permutation and the chain layout, int32 throughout — are built at
+the first pair query of a factorization and stay valid across
+Woodbury updates, which leave ``L`` alone; the batch and stream paths
+never ask for a pair form and never build them.
 
 Positive deltas are edge additions / weight increases; *negative*
 deltas encode weight decreases and edge deletions (delta ``−w`` removes
@@ -72,6 +89,8 @@ with the *change* instead of the sparsifier size.
 """
 
 from __future__ import annotations
+
+from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg
@@ -125,6 +144,157 @@ def _indicator_block(rows: int, pos: np.ndarray, sign: np.ndarray) -> np.ndarray
     block[pos[0], cols] += sign[0]
     block[pos[1], cols] -= sign[1]
     return block
+
+
+class _ReachTables(NamedTuple):
+    """What the pair forms need of one factorization ``P A Pᵀ = L D Lᵀ``.
+
+    ``perm[i]`` is the row of ``L`` that matrix row ``i`` moves to;
+    ``indptr``/``indices``/``data`` are ``L`` in CSC with sorted rows;
+    ``d_inv`` is ``1/D``.  The etree's heavy chains occupy contiguous
+    ranges of ``order`` (head first); row ``j`` sits at ``place[j]``,
+    its chain's head at ``head_place[j]``, and ``jump[j]`` is the parent
+    of that head (``-1`` past the root).
+    """
+
+    perm: np.ndarray
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
+    d_inv: np.ndarray
+    order: np.ndarray
+    place: np.ndarray
+    head_place: np.ndarray
+    jump: np.ndarray
+
+
+def _reach_tables(lu) -> _ReachTables:
+    """The pair-form tables of a SuperLU factorization of an SPD matrix.
+
+    Raises ``RuntimeError`` when the factorization is not the symmetric
+    one the pair forms rely on: row and column permutations that differ,
+    or an ``L`` column without its diagonal entry.
+    """
+    if not np.array_equal(lu.perm_r, lu.perm_c):
+        raise RuntimeError(
+            "SuperLU permuted rows and columns differently; the pair "
+            "forms need the symmetric factorization of an SPD matrix"
+        )
+    L = lu.L
+    L.sort_indices()
+    n = L.shape[0]
+    indptr = L.indptr.astype(np.int32, copy=False)
+    indices = L.indices.astype(np.int32, copy=False)
+    first = indptr[:-1]
+    if not np.array_equal(indices[first], np.arange(n)):
+        raise RuntimeError("an L column of the factorization lacks its diagonal")
+    # The etree parent of column j is its first off-diagonal row.
+    child = np.flatnonzero(np.diff(indptr) > 1).astype(np.int32)
+    parent = np.full(n, -1, dtype=np.int32)
+    parent[child] = indices[first[child] + 1]
+    # Subtree sizes: size[i] − Σ_{children j} size[j] = 1 is a unit lower
+    # triangular system, since every parent follows its children.
+    tree = sp.eye_array(n, format="csc") - sp.csc_array(
+        (np.ones(child.size), (parent[child], child)), shape=(n, n)
+    )
+    size = spla.spsolve_triangular(tree, np.ones(n), unit_diagonal=True)
+    # Each vertex continues the chain of its largest child subtree.
+    by_parent = np.lexsort((size[child], parent[child]))
+    parents = parent[child][by_parent]
+    largest = np.ones(parents.size, dtype=bool)
+    largest[:-1] = parents[1:] != parents[:-1]
+    heavy = child[by_parent][largest]
+    head = np.arange(n, dtype=np.int32)
+    head[heavy] = parent[heavy]
+    while True:  # pointer doubling up the heavy edges
+        jumped = head[head]
+        if np.array_equal(jumped, head):
+            break
+        head = jumped
+    # Chains contiguous, each from its head (its largest row) down.
+    order = np.lexsort((-np.arange(n), head)).astype(np.int32)
+    place = np.empty(n, dtype=np.int32)
+    place[order] = np.arange(n, dtype=np.int32)
+    return _ReachTables(
+        perm=lu.perm_c.astype(np.int32),
+        indptr=indptr,
+        indices=indices,
+        data=L.data,
+        d_inv=1.0 / lu.U.diagonal(),
+        order=order,
+        place=place,
+        head_place=place[head],
+        jump=parent[head],
+    )
+
+
+def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """``concat(arange(s, s + l) for s, l in zip(starts, lengths))``."""
+    ends = np.cumsum(lengths)
+    return np.repeat(starts - ends + lengths, lengths) + np.arange(ends[-1])
+
+
+def _reach(tables: _ReachTables, rows: np.ndarray) -> np.ndarray:
+    """Sorted union of the etree paths from ``rows`` to the root.
+
+    Each step adds one chain range per path and jumps past the chain's
+    head, so a path costs ``O(log n)`` steps.  Every range of a chain
+    starts at its head, so the union of a chain's ranges is its longest.
+    """
+    lo, hi = [], []
+    while rows.size:
+        lo.append(tables.head_place[rows])
+        hi.append(tables.place[rows])
+        rows = tables.jump[rows]
+        rows = rows[rows >= 0]
+    lo, hi = np.concatenate(lo), np.concatenate(hi)
+    by_chain = np.lexsort((hi, lo))
+    lo, hi = lo[by_chain], hi[by_chain]
+    longest = np.append(lo[1:] != lo[:-1], True)
+    lo, hi = lo[longest], hi[longest]
+    reach = tables.order[_ranges(lo, hi - lo + 1)]
+    reach.sort()
+    return reach
+
+
+def _forward_solve(
+    tables: _ReachTables, rows: np.ndarray, sign: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """``L⁻¹ c`` on its reach for the columns ``c`` of ``(rows, sign)``.
+
+    Column ``i`` of ``c`` holds ``sign[0, i]`` at ``L`` row
+    ``rows[0, i]`` and ``−sign[1, i]`` at ``rows[1, i]``.  Returns the
+    sorted reach and the solution at those rows, one column per pair.
+
+    Raises ``RuntimeError`` when a stored entry of a reach column lies
+    outside the reach (the etree paths then miss a row of ``L⁻¹ c``).
+    """
+    reach = _reach(tables, rows.ravel())
+    size = reach.size
+    start = tables.indptr[reach]
+    count = tables.indptr[reach + 1] - start
+    entries = _ranges(start, count)
+    touched = tables.indices[entries]
+    # Local numbering, written at the reach only: a row outside it reads
+    # an arbitrary value, and no reach row maps back to it.
+    local = np.empty(tables.perm.size, dtype=np.int32)
+    local[reach] = np.arange(size, dtype=np.int32)
+    sub_rows = local[touched]
+    if np.any(reach.take(sub_rows, mode="clip") != touched):
+        raise RuntimeError(
+            "a column of L reaches a row off its elimination-tree paths"
+        )
+    sub_ptr = np.zeros(size + 1, dtype=np.int32)
+    np.cumsum(count, out=sub_ptr[1:])
+    sub = sp.csc_array((tables.data[entries], sub_rows, sub_ptr), shape=(size, size))
+    cols = np.arange(rows.shape[1])
+    rhs = np.zeros((size, cols.size))
+    rhs[local[rows[0]], cols] += sign[0]
+    rhs[local[rows[1]], cols] -= sign[1]
+    y = spla.spsolve_triangular(
+        sub, rhs, unit_diagonal=True, overwrite_A=True, overwrite_b=True
+    )
+    return reach, y
 
 
 class DirectSolver:
@@ -237,6 +407,8 @@ class DirectSolver:
         self._update_w = np.empty(0, dtype=np.float64)
         self._update_cap = None
         self._cap_is_cholesky = True
+        # Built by the first pair_resistances call; the factor never changes.
+        self._reach_tables: _ReachTables | None = None
         get_metrics().counter(
             "repro_direct_factorizations_total",
             "Sparse LU factorizations built by DirectSolver.",
@@ -410,15 +582,16 @@ class DirectSolver:
         """Quadratic forms ``(e_u − e_v)ᵀ A⁺ (e_u − e_v)`` of vertex pairs.
 
         The effective resistances of the pairs when the matrix is a
-        Laplacian.  One ``k``-column triangular solve of the pair
-        indicators, read and corrected only at the pair rows: with
-        ``y = A⁻¹ b`` and ``g = Zᵀ b`` (two row gathers of ``Z``), the
-        answer is ``bᵀ y − gᵀ C⁻¹ g`` for the factored Woodbury
-        capacitance ``C``.  ``e_u − e_v`` is mean-free, so the grounded
-        form equals the pseudoinverse one, and the projections, the
-        re-centering and the ``n × rank`` product of :meth:`solve` are
-        not needed.  The result agrees with gathering ``x[u] − x[v]``
-        from :meth:`solve` to rounding.
+        Laplacian.  With ``b`` the pair indicators and the factorization
+        ``P A Pᵀ = L D Lᵀ``, the form is ``‖D^{-1/2} L⁻¹ P b‖²``: one
+        forward solve restricted to the elimination-tree reach of the
+        pair endpoints (see the module docstring), with no backward
+        solve.  The Woodbury correction is ``gᵀ C⁻¹ g`` with ``g = Zᵀ b``
+        (two row gathers of ``Z``) for the factored capacitance ``C``.
+        ``e_u − e_v`` is mean-free, so the grounded form equals the
+        pseudoinverse one.  The result agrees with gathering
+        ``x[u] − x[v]`` from :meth:`solve` to rounding.  The first call
+        on a factorization builds its reach tables in ``O(nnz(L))``.
 
         Parameters
         ----------
@@ -436,6 +609,10 @@ class DirectSolver:
         ValueError
             If ``pairs`` is not a ``(k, 2)`` array or an endpoint lies
             outside ``[0, n)``.
+        RuntimeError
+            If the factorization is not symmetric (SuperLU permuted rows
+            and columns differently), or a column of ``L`` reaches a row
+            off the elimination-tree paths of its endpoints.
         """
         pairs = np.asarray(pairs, dtype=np.int64)
         if pairs.ndim != 2 or pairs.shape[1] != 2:
@@ -446,10 +623,12 @@ class DirectSolver:
         with get_tracer().span("solvers.solve", category="solver", columns=k):
             if self._lu is None or k == 0:
                 return np.zeros(k)
+            if self._reach_tables is None:
+                self._reach_tables = _reach_tables(self._lu)
+            tables = self._reach_tables
             pos, sign = self._kept_rows(pairs.T)
-            y = self._lu.solve(_indicator_block(self._lu.shape[0], pos, sign))
-            cols = np.arange(k)
-            values = sign[0] * y[pos[0], cols] - sign[1] * y[pos[1], cols]
+            reach, y = _forward_solve(tables, tables.perm[pos], sign)
+            values = np.einsum("ij,ij,i->j", y, y, tables.d_inv[reach])
             if self._update_cap is not None:
                 g = _incidence_t(self._update_Z[:, : self.update_rank], pos, sign)
                 h = self._capacitance_solve(g.T)

@@ -79,14 +79,14 @@ def exact_effective_resistances(
     solve (``repro_solver_solves_total{caller="resistance"}``).  With a
     :class:`~repro.solvers.DirectSolver` (the default, and every
     sparsifier up to ``DIRECT_SOLVER_MAX_NODES`` vertices) that solve is
-    :meth:`~repro.solvers.DirectSolver.pair_resistances`, which reads
-    the answer at the pair rows after the triangular solve, skipping
-    the column-mean projections, the re-centering and the
-    ``n × rank × k`` Woodbury product of a full solve.  Any other
+    :meth:`~repro.solvers.DirectSolver.pair_resistances`: a forward
+    solve of the factor restricted to the elimination-tree reach of the
+    block's endpoints, ``O(nnz(reach))`` per pair where a full solve
+    pays both triangular factors, the column-mean projections, the
+    re-centering and the ``n × rank × k`` Woodbury product.  Any other
     solver (AMG on larger graphs, or a wrapper) gets the indicator
     block through ``solve`` and the answer is gathered as
-    ``x[u] − x[v]``.  Both give the same values to
-    rounding.
+    ``x[u] − x[v]``.  Both give the same values to rounding.
 
     Parameters
     ----------

@@ -1,11 +1,16 @@
 """Unit tests for graph and Matrix Market I/O."""
 
 import io
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
+import repro
 from repro.graphs import Graph, generators
 from repro.graphs.io import (
     MAX_DIMENSION,
@@ -178,6 +183,35 @@ class TestMalformedMatrixMarket:
     def test_refused(self, body, banner, match):
         with pytest.raises(ValueError, match=match):
             read_matrix_market(_mtx(body, banner))
+
+    @pytest.mark.parametrize("token", ["1.5abc", "0x10", "1_0"])
+    def test_value_with_trailing_characters_refused(self, token):
+        """SciPy's reader alone reads these as 1.5, 0.0 and 1.0."""
+        with pytest.raises(ValueError, match=r"byte b'[a-z_]' is not part"):
+            read_matrix_market(_mtx(f"2 2 1\n2 1 {token}\n"))
+
+    @pytest.mark.parametrize("end", [" ", "\t", "\r", "\x00"])
+    def test_last_line_without_newline_reads_in_a_child(self, end):
+        """SciPy's reader crashes the interpreter on these files; the
+        child process keeps such a regression from taking the suite
+        down."""
+        code = (
+            "import sys\n"
+            "from repro.graphs.io import read_matrix_market\n"
+            "try:\n"
+            "    print(read_matrix_market(sys.stdin).data.tolist())\n"
+            "except ValueError:\n"
+            "    print('refused')\n"
+        )
+        src = str(Path(repro.__file__).resolve().parents[1])
+        child = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True,
+            input=_mtx("2 2 1\n2 1 1.5" + end).read(), timeout=60,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert child.returncode == 0, child.stderr
+        expected = "refused" if end == "\x00" else "[1.5]"
+        assert child.stdout.strip() == expected
 
     def test_huge_entry_count_refused_before_allocation(self):
         """4e9 declared entries would need ~30 GiB of index arrays."""

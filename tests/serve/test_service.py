@@ -1,8 +1,11 @@
 """End-to-end tests for the HTTP query service and its client."""
 
 import base64
+import http.client
 import json
 import socket
+import sys
+import threading
 import time
 from urllib.parse import urlparse
 
@@ -433,12 +436,14 @@ def _raw_post(service, length: str, body: bytes = b"") -> tuple[int, bytes]:
     """POST ``body`` to ``/graphs`` under a raw ``Content-Length`` header.
 
     Returns the status code and the response body; the 5-s socket
-    timeout turns a server that never answers into a test failure.
+    timeout turns a server that never answers into a test failure.  The
+    reply is read to end of input, so the request asks the server to
+    close the connection after answering.
     """
     url = urlparse(service.url)
     request = (
         f"POST /graphs HTTP/1.1\r\nHost: {url.hostname}\r\n"
-        f"Content-Length: {length}\r\n\r\n"
+        f"Content-Length: {length}\r\nConnection: close\r\n\r\n"
     ).encode("ascii") + body
     with socket.create_connection((url.hostname, url.port), timeout=5) as sock:
         sock.sendall(request)
@@ -593,3 +598,200 @@ class TestPackedArrays:
         status, reply = _raw_post(service, str(len(body)), body)
         assert status == 400
         assert b"not JSON" in reply
+
+
+def _wait_until(condition, timeout: float = 5.0) -> None:
+    deadline = time.monotonic() + timeout
+    while not condition():
+        assert time.monotonic() < deadline, "condition not reached in time"
+        time.sleep(0.01)
+
+
+def _handler_threads() -> list:
+    return [t for t in threading.enumerate() if "process_request_thread" in t.name]
+
+
+class _ScriptedServer:
+    """A bare TCP listener standing in for a server that drops connections.
+
+    With ``answer_first``, the first request on the first connection
+    gets a keep-alive ``200 {}`` and then the connection closes; every
+    other connection closes before answering.  ``accepted`` counts the
+    connections the client opened.
+    """
+
+    def __init__(self, answer_first: bool) -> None:
+        self.answer_first = answer_first
+        self.accepted = 0
+        self.listener = socket.create_server(("127.0.0.1", 0))
+        self.url = f"http://127.0.0.1:{self.listener.getsockname()[1]}"
+        self.thread = threading.Thread(target=self._serve, daemon=True)
+        self.thread.start()
+
+    def _serve(self) -> None:
+        while True:
+            try:
+                connection, _ = self.listener.accept()
+            except OSError:
+                return  # closed
+            self.accepted += 1
+            with connection:
+                if self.answer_first and self.accepted == 1:
+                    received = b""
+                    while b"\r\n\r\n" not in received:
+                        chunk = connection.recv(4096)
+                        if not chunk:
+                            break  # the client gave up
+                        received += chunk
+                    connection.sendall(
+                        b"HTTP/1.1 200 OK\r\nContent-Type: application/json\r\n"
+                        b"Content-Length: 2\r\n\r\n{}"
+                    )
+
+    def close(self) -> None:
+        self.listener.shutdown(socket.SHUT_RDWR)  # wakes the accept()
+        self.listener.close()
+        self.thread.join(timeout=5)
+        assert not self.thread.is_alive()
+
+
+class TestKeepAlive:
+    """HTTP/1.1 connections that carry many requests, and where they end."""
+
+    def test_two_requests_share_one_connection(self, service):
+        url = urlparse(service.url)
+        connection = http.client.HTTPConnection(url.hostname, url.port, timeout=5)
+        try:
+            statuses = []
+            for path in ("/stats", "/health"):
+                connection.request("GET", path)
+                response = connection.getresponse()
+                response.read()
+                statuses.append((response.version, response.status))
+                if path == "/stats":
+                    first = connection.sock
+            assert connection.sock is first  # http.client did not reconnect
+            assert statuses == [(11, 200), (11, 200)]
+        finally:
+            connection.close()
+
+    @pytest.mark.parametrize(
+        "length, status", [("-1", 400), ("1000000000000", 413)],
+        ids=["bad-length-400", "oversized-413"],
+    )
+    def test_unread_body_closes_the_connection(self, service, length, status):
+        """Without ``Connection: close`` from the client, the refusals
+        still end the connection: the socket reads to end of input
+        within its 5-s timeout."""
+        url = urlparse(service.url)
+        request = (
+            f"POST /graphs HTTP/1.1\r\nHost: {url.hostname}\r\n"
+            f"Content-Length: {length}\r\n\r\n"
+        ).encode("ascii")
+        with socket.create_connection((url.hostname, url.port), timeout=5) as sock:
+            sock.sendall(request)
+            reply = b""
+            while chunk := sock.recv(4096):
+                reply += chunk
+        head = reply.partition(b"\r\n\r\n")[0].decode("ascii").lower()
+        assert head.startswith(f"http/1.1 {status}")
+        assert "\r\nconnection: close" in head
+
+    def test_client_reopens_a_reused_connection_the_server_closed(
+        self, service, client
+    ):
+        client.stats()
+        first = client._connection().sock
+        service._server.end_connections()  # as stop() does, minus the stop
+        _wait_until(lambda: not service._server._connections)
+        assert client.stats()["stats"]["builds"] == 0
+        assert client._connection().sock is not first
+
+    def test_failure_on_a_fresh_connection_is_not_retried(self):
+        server = _ScriptedServer(answer_first=False)
+        try:
+            with ServeClient(server.url, timeout=5) as client:
+                with pytest.raises(ConnectionError):
+                    client.stats()
+            assert server.accepted == 1
+        finally:
+            server.close()
+
+    def test_reused_connection_is_retried_once(self):
+        server = _ScriptedServer(answer_first=True)
+        try:
+            with ServeClient(server.url, timeout=5) as client:
+                assert client.stats() == {}
+                _wait_until(lambda: server.accepted == 1)
+                with pytest.raises(ConnectionError):
+                    client.stats()  # dropped reused, then dropped fresh
+            assert server.accepted == 2
+        finally:
+            server.close()
+
+    def test_stop_leaves_no_idle_handler_thread(self, tmp_path, grid):
+        registry = SparsifierRegistry(tmp_path / "spool")
+        service = SparsifierService(registry)
+        service.start()
+        idle, busy = ServeClient(service.url), ServeClient(service.url)
+        with idle, busy:
+            idle.stats()
+            busy.register(grid, sigma2=SIGMA2, seed=0)
+            assert len(_handler_threads()) == 2
+            stopper = threading.Thread(target=service.stop, daemon=True)
+            stopper.start()
+            stopper.join(timeout=5)
+            assert not stopper.is_alive()
+            assert _handler_threads() == []
+
+    def test_threads_share_one_client(self, service, grid):
+        """Eight threads (more than cores) on one client with a short
+        switch interval: every answer is the engine's, and close() then
+        reaches every connection the threads opened."""
+        client = ServeClient(service.url)
+        key = client.register(grid, sigma2=SIGMA2, seed=0)
+        engine = service.registry.engine(key)
+        errors = []
+
+        def work(seed):
+            rng = np.random.default_rng(seed)
+            try:
+                for _ in range(15):
+                    pairs = rng.integers(0, grid.n, size=(4, 2))
+                    assert np.array_equal(
+                        client.resistance(key, pairs), engine.resistance(pairs)
+                    )
+            except BaseException as exc:  # re-raised below, in the test
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(s,)) for s in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        if errors:
+            raise errors[0]
+        client.close()
+        _wait_until(lambda: not service._server._connections)
+
+    def test_stop_without_start_returns(self, tmp_path):
+        service = SparsifierService(SparsifierRegistry(tmp_path / "spool"))
+        stopper = threading.Thread(target=service.stop, daemon=True)
+        stopper.start()
+        stopper.join(timeout=5)
+        assert not stopper.is_alive()
+
+    def test_close_ends_the_server_side_of_the_connection(self, service):
+        with ServeClient(service.url) as client:
+            client.stats()
+            assert len(service._server._connections) == 1
+        _wait_until(lambda: not service._server._connections)
+        assert client._connections == {}
+        client.stats()  # a closed client reconnects
+        client.close()

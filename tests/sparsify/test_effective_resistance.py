@@ -6,7 +6,7 @@ import scipy.sparse as sp
 
 from repro.graphs import generators
 from repro.obs import MetricsRegistry, Tracer, observed
-from repro.solvers import DirectSolver
+from repro.solvers import DirectSolver, cholesky
 from repro.sparsify import (
     approx_effective_resistances,
     exact_effective_resistances,
@@ -192,6 +192,39 @@ def _edge_update(matrix, u, v, w):
     return matrix + sp.csc_matrix((vals, (rows, cols)), shape=(n, n))
 
 
+def _series_resistances(g, pairs):
+    """Resistances on a path ``0 − 1 − … − n−1``: sums of ``1/w``."""
+    along = np.zeros(g.n)
+    along[1:][g.u] = 1.0 / g.w
+    prefix = np.cumsum(along)
+    return np.abs(prefix[pairs[:, 1]] - prefix[pairs[:, 0]])
+
+
+def _star_resistances(g, pairs):
+    """Resistances on a star centred at 0: ``1/w`` per leaf on the way."""
+    leaf = np.zeros(g.n)
+    leaf[g.v] = 1.0 / g.w
+    return leaf[pairs[:, 0]] + leaf[pairs[:, 1]]
+
+
+#: Graph and exact reference per shape (closed forms where the dense
+#: pseudoinverse of a long path would be the less accurate side).
+_SHAPES = {
+    "path": lambda: (
+        generators.path_graph(300, weights="lognormal", seed=1),
+        _series_resistances,
+    ),
+    "star": lambda: (
+        generators.star_graph(300, weights="lognormal", seed=2),
+        _star_resistances,
+    ),
+    "barabasi-albert": lambda: (
+        generators.barabasi_albert(300, seed=3),
+        lambda g, pairs: _dense_pair_forms(g.laplacian().tocsc(), pairs),
+    ),
+}
+
+
 @pytest.fixture
 def check_pair_rows(solve_only):
     """Compare the pair-row answers with the generic solve-and-gather
@@ -316,3 +349,61 @@ class TestPairRowPath:
         solver = DirectSolver(sp.csc_matrix((1, 1)))
         assert np.array_equal(solver.pair_resistances([[0, 0]]), [0.0])
         assert solver.pair_resistances(np.empty((0, 2), dtype=int)).shape == (0,)
+
+    @pytest.mark.parametrize("k", [1, 8, 256])
+    @pytest.mark.parametrize("shape", sorted(_SHAPES))
+    def test_graph_shapes_and_block_sizes(self, shape, k, solve_only):
+        """A path (the deepest elimination tree: root paths of about
+        half the vertices), a star (the shallowest) and a scale-free
+        graph, at one pair, a serving block and a full batch."""
+        g, reference = _SHAPES[shape]()
+        pairs = _random_pairs(g.n, k, seed=k)
+        solver = DirectSolver(g.laplacian().tocsc())
+        fast = exact_effective_resistances(g, pairs, solver=solver)
+        generic = exact_effective_resistances(g, pairs, solver=solve_only(solver))
+        np.testing.assert_allclose(fast, generic, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(fast, reference(g, pairs), rtol=1e-12, atol=0)
+
+    def test_reach_tables_built_by_the_first_pair_query_only(
+        self, grid_weighted, monkeypatch, solve_only
+    ):
+        """Factoring, solving and absorbing updates never build the
+        tables; the first pair query does, and they outlive updates."""
+        built = []
+        build = cholesky._reach_tables
+        monkeypatch.setattr(
+            cholesky, "_reach_tables", lambda lu: built.append(lu) or build(lu)
+        )
+        g = grid_weighted
+        solver = DirectSolver(g.laplacian().tocsc())
+        solver.solve(np.random.default_rng(0).standard_normal((g.n, 3)))
+        assert solver.update(g.u[:4], g.v[:4], g.w[:4])
+        solver.solve(np.ones(g.n))
+        assert built == []
+        pairs = _random_pairs(g.n, 8, seed=9)
+        solver.pair_resistances(pairs)
+        assert len(built) == 1
+        assert solver.update(g.u[4:8], g.v[4:8], g.w[4:8])
+        after = exact_effective_resistances(g, pairs, solver=solver)
+        assert len(built) == 1
+        generic = exact_effective_resistances(g, pairs, solver=solve_only(solver))
+        np.testing.assert_allclose(after, generic, rtol=1e-12, atol=0)
+
+    def test_row_off_the_elimination_tree_paths_raises(self, grid_weighted):
+        """A reach that misses a row of ``L⁻¹ b`` is refused, not
+        answered wrong: cut every chain's jump to its parent chain."""
+        g = grid_weighted
+        solver = DirectSolver(g.laplacian().tocsc())
+        pairs = _random_pairs(g.n, 8, seed=10)
+        solver.pair_resistances(pairs)
+        tables = solver._reach_tables
+        solver._reach_tables = tables._replace(jump=np.full_like(tables.jump, -1))
+        with pytest.raises(RuntimeError, match="elimination-tree"):
+            solver.pair_resistances(pairs)
+
+    def test_unsymmetric_factor_raises(self):
+        """A zero diagonal forces SuperLU off the diagonal pivots, so its
+        row and column permutations differ."""
+        solver = DirectSolver(sp.csc_matrix(np.array([[0.0, 1.0], [1.0, 0.0]])))
+        with pytest.raises(RuntimeError, match="permuted rows and columns"):
+            solver.pair_resistances([[0, 1]])

@@ -69,3 +69,39 @@ def test_documentation_example_runs(path, index):
         )
     else:
         exec(compile(block, f"{path.name}[{index}]", "exec"), namespace)
+
+
+#: ``path::qualified.name`` anchors of the algorithm-to-code map.
+_ANCHOR = re.compile(r"`(src/repro/[\w/]+\.py)::([\w.]+)`")
+_ALGORITHM = ROOT / "docs" / "ALGORITHM.md"
+
+
+def _anchors() -> list[tuple[str, str]]:
+    return _ANCHOR.findall(_ALGORITHM.read_text(encoding="utf-8"))
+
+
+def test_algorithm_map_uses_names_not_line_numbers():
+    """Line numbers drift with every edit above them; names do not."""
+    text = _ALGORITHM.read_text(encoding="utf-8")
+    assert not re.findall(r"\.py:\d+|`:\d+`", text)
+    assert len(_anchors()) >= 40
+
+
+@pytest.mark.parametrize(
+    "path, name",
+    [pytest.param(path, name, id=f"{path}::{name}")
+     for path, name in sorted(set(_anchors()))],
+)
+def test_algorithm_map_anchor_resolves(path, name):
+    """Each anchor names something its file defines."""
+    import importlib
+
+    assert (ROOT / path).is_file()
+    module = importlib.import_module(
+        path.removeprefix("src/").removesuffix(".py").replace("/", ".")
+    )
+    target = module
+    for part in name.split("."):
+        target = getattr(target, part)
+    if hasattr(target, "__module__"):
+        assert target.__module__ == module.__name__
