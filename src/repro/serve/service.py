@@ -1,16 +1,35 @@
 """JSON-over-HTTP query service and its in-process client.
 
-A thin stdlib (:class:`http.server.ThreadingHTTPServer`) front end over
-a :class:`~repro.serve.SparsifierRegistry` — no framework, no new
-dependencies.  The handler speaks HTTP/1.1 with ``TCP_NODELAY``, so a
-connection stays open across requests (until the client sends
-``Connection: close``) and keeps its one handler thread; per-artifact
-engine locks serialize queries against event application, and the
-registry lock serializes admissions/evictions.  A response whose
-request body was left unread (a bad ``Content-Length``, a ``413``) and
-the ``/shutdown`` response close their connection, and
-:meth:`SparsifierService.stop` ends every connection still open, so no
-idle handler thread outlives the service.
+A small HTTP/1.1 front end over a :class:`~repro.serve.SparsifierRegistry`
+on stdlib :mod:`asyncio` — no framework, no new dependencies.  One
+event-loop thread owns the listening socket and every connection.  It
+reads each request whole — the request line and headers under
+:mod:`http.server`'s limits, then the body by ``Content-Length`` —
+before it opens the request's ``serve`` span and runs its route
+synchronously, so no two requests contend for the GIL and the spans on
+the loop's trace lane never interleave.  Only ``POST /graphs``, a full
+sparsification, runs on a worker thread of the loop's executor, so
+``/health`` and other artifacts' queries keep answering during a build.
+``POST /events`` runs inline: its batch waits on the artifact's entry
+lock like any query, and while it runs, queries on other artifacts wait
+for it too (an accepted cost; the batches are short).
+
+A connection stays open across requests, with ``TCP_NODELAY``, until
+the client sends ``Connection: close`` or speaks HTTP/1.0; pipelined
+requests are answered in order, and ``Expect: 100-continue`` gets its
+interim ``100 Continue``.  A request the transport refuses gets a JSON
+``{"error"}`` answer with ``Connection: close``, and its connection
+closes with the rest of its input unread: a malformed request line
+(``400``), a request line over 64 KiB (``414``), a header line over
+64 KiB or more than 100 header lines (``431``), a method other than GET
+and POST (``501``), a version other than HTTP/1.0 and HTTP/1.1
+(``505``), a ``Transfer-Encoding`` without ``Content-Length`` (``411``),
+a bad or negative ``Content-Length`` (``400``) and one above
+:data:`MAX_BODY_BYTES` (``413``).  ``POST /shutdown`` closes its
+connection too, after answering.  :meth:`SparsifierService.stop` closes
+the listener and every idle connection, lets the requests in flight
+finish and answer (a registration on the executor included), and
+returns once the loop thread has ended.
 
 Routes (all bodies and responses are JSON; array fields are marked
 ``[f8]`` or ``[i8]``):
@@ -56,7 +75,8 @@ came packed gets its ``values``, ``x`` or ``coordinates`` packed, any
 other gets lists (so an embedding request without ``nodes`` gets
 lists).  :class:`ServeClient` packs everything it sends.  Integer
 fields, in either form, refuse boolean, non-integral and non-finite
-entries rather than casting them.
+entries rather than casting them, and float fields (``w``, ``rhs`` and
+an event's ``w``) refuse booleans and strings.
 
 Event records use the same shape as the JSONL event-log format, and
 the same parser (:func:`repro.stream.events.event_from_record`):
@@ -67,14 +87,14 @@ verbatim.
 Error mapping: malformed JSON, a body that is not a JSON object, or a
 :class:`ValueError`, :class:`TypeError` or :class:`OverflowError` from
 the layers below → ``400``; an unknown artifact key or route → ``404``;
-a body longer than :data:`MAX_BODY_BYTES` → ``413`` (refused before
-reading it); any other exception → ``500`` with the body ``{"error":
-"internal server error"}``, its traceback logged.  A spilled artifact
+any other exception → ``500`` with the body ``{"error": "internal
+server error"}``, its traceback logged.  A spilled artifact
 whose checkpoint no longer loads is one of these
 (:class:`~repro.serve.registry.ArtifactReloadError`): the spool is the
 server's own storage, and its paths stay in the log.  Other error
-bodies are ``{"error": message}``.  Every response with a status ≥ 400
-bumps ``repro_http_errors_total{endpoint,status}``, which the default
+bodies are ``{"error": message}``.  Every response with a status ≥ 400,
+the transport's refusals included, bumps
+``repro_http_errors_total{endpoint,status}`` once, which the default
 ``http_server_errors`` alert rule reads for 500s: after one, ``GET
 /health`` answers 503 until the process restarts.
 
@@ -88,16 +108,20 @@ closed by the server while it sat idle; :meth:`ServeClient.close` (or a
 
 from __future__ import annotations
 
+import asyncio
 import base64
 import binascii
 import http.client
 import json
 import logging
 import math
+import re
 import socket
 import threading
+import time
 import weakref
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from email.utils import formatdate
+from http import HTTPStatus
 
 import numpy as np
 
@@ -106,7 +130,11 @@ from repro.obs import enable_metrics, get_metrics, get_tracer
 from repro.obs.alerts import default_serving_rules, evaluate_rules
 from repro.serve.registry import SparsifierRegistry
 from repro.stream.events import event_from_record, event_to_record
-from repro.utils.validation import as_index_array, check_vertex_count
+from repro.utils.validation import (
+    as_float_array,
+    as_index_array,
+    check_vertex_count,
+)
 
 __all__ = ["MAX_BODY_BYTES", "ServeClient", "ServiceError", "SparsifierService"]
 
@@ -124,6 +152,14 @@ _ENDPOINTS = frozenset({
     "/query/similarity", "/query/solve", "/query/embedding", "/events",
     "/shutdown",
 })
+
+#: Longest request or header line the service reads, its line end
+#: included, and the most header lines a request may carry (the limits
+#: of :mod:`http.server`).
+_MAX_LINE = 65536
+_MAX_HEADERS = 100
+
+_VERSION = re.compile(r"HTTP/([0-9]{1,9})\.([0-9]{1,9})")
 
 
 #: Wire dtypes of the packed array form, and the in-memory dtype each
@@ -154,7 +190,7 @@ def _unpack(value, dtype: str, name: str) -> np.ndarray:
     if not isinstance(value, dict):
         if dtype == _I8:
             return as_index_array(value, name)
-        return np.asarray(value, dtype=np.float64)
+        return as_float_array(value, name)
     if set(value) != {"dtype", "shape", "data"}:
         raise ValueError(
             f"packed {name} must have exactly the keys dtype, shape and data"
@@ -197,173 +233,88 @@ def _reply(array: np.ndarray, sent) -> dict | list:
     return _pack(array, _F8) if isinstance(sent, dict) else array.tolist()
 
 
-class _Server(ThreadingHTTPServer):
-    """A threading HTTP server that can end its open connections."""
+class _Refused(Exception):
+    """A request the transport refuses; its connection closes after the answer."""
 
-    # Non-daemon handler threads are the ones server_close() joins.
-    daemon_threads = False
-
-    def __init__(self, address, handler) -> None:
-        self._connections: set = set()
-        self._connections_lock = threading.Lock()
-        super().__init__(address, handler)
-
-    def process_request(self, request, client_address) -> None:
-        # Recorded on the serve loop's thread, so once shutdown() has
-        # returned every accepted connection is in the set.
-        with self._connections_lock:
-            self._connections.add(request)
-        super().process_request(request, client_address)
-
-    def shutdown_request(self, request) -> None:
-        with self._connections_lock:
-            self._connections.discard(request)
-        super().shutdown_request(request)
-
-    def end_connections(self) -> None:
-        """Shut the read side of every open connection.
-
-        A handler waiting for the next request reads end of input and
-        returns; one busy with a request still sends its response.
-        """
-        with self._connections_lock:
-            connections = list(self._connections)
-        for connection in connections:
-            try:
-                connection.shutdown(socket.SHUT_RD)
-            except OSError:
-                pass  # its handler closed it meanwhile
+    def __init__(self, status: int, message: str, path: str = "") -> None:
+        super().__init__(message)
+        self.status = status
+        self.path = path
 
 
-class _Handler(BaseHTTPRequestHandler):
-    """Routes HTTP requests into the bound service (internal)."""
+async def _read_line(
+    reader: asyncio.StreamReader, status: int, what: str, path: str = ""
+):
+    """One line with its end, or ``None`` when the input ends first."""
+    try:
+        line = await reader.readline()
+    except ValueError:  # the line ran past the reader's limit
+        raise _Refused(
+            status, f"{what} longer than {_MAX_LINE} bytes", path
+        ) from None
+    return line if line.endswith(b"\n") else None
 
-    service: "SparsifierService"  # bound per-service via a subclass
-    protocol_version = "HTTP/1.1"
-    disable_nagle_algorithm = True
 
-    def log_message(self, format: str, *args) -> None:  # noqa: A002
-        pass  # no stderr chatter from handler threads
+async def _read_request(reader: asyncio.StreamReader, writer: asyncio.StreamWriter):
+    """The connection's next request, read whole.
 
-    def _send(self, status: int, payload: dict, close: bool = False) -> None:
-        body = json.dumps(payload).encode("utf-8")
-        self._send_bytes(status, body, "application/json", close)
-
-    def _send_text(self, status: int, text: str) -> None:
-        self._send_bytes(
-            status, text.encode("utf-8"), "text/plain; version=0.0.4"
+    Returns ``(method, path, body, close)`` — ``close`` when the reply
+    must end the connection — or ``None`` when the input ends before a
+    request is complete.  Raises :class:`_Refused` for a request the
+    transport refuses, before any of its body is read.
+    """
+    line = await _read_line(reader, 414, "request line")
+    if line is None:
+        return None
+    words = line.decode("latin-1").split()
+    if len(words) != 3:
+        raise _Refused(400, "malformed request line")
+    method, path, version = words
+    match = _VERSION.fullmatch(version)
+    if match is None:
+        raise _Refused(400, "malformed request line", path)
+    number = (int(match[1]), int(match[2]))
+    if number not in ((1, 0), (1, 1)):
+        raise _Refused(505, "only HTTP/1.0 and HTTP/1.1 are supported", path)
+    headers: dict = {}
+    for count in range(_MAX_HEADERS + 1):
+        line = await _read_line(reader, 431, "header line", path)
+        if line is None:
+            return None
+        if line in (b"\r\n", b"\n"):
+            break
+        if count == _MAX_HEADERS:
+            raise _Refused(431, f"more than {_MAX_HEADERS} header lines", path)
+        name, colon, value = line.decode("latin-1").partition(":")
+        if not colon:
+            raise _Refused(400, "malformed header line", path)
+        headers.setdefault(name.strip().lower(), value.strip())
+    if method not in ("GET", "POST"):
+        raise _Refused(501, "only GET and POST are supported", path)
+    header = headers.get("content-length")
+    if header is None:
+        if "transfer-encoding" in headers:
+            raise _Refused(411, "a request body needs a Content-Length", path)
+        header = "0"
+    try:
+        length = int(header)
+    except ValueError:
+        length = -1
+    if length < 0:
+        # A negative length cannot frame a body.
+        raise _Refused(400, f"invalid Content-Length {header!r}", path)
+    if length > MAX_BODY_BYTES:
+        # Refused unread: reading would buffer the whole declared length,
+        # or wait for bytes that never come.
+        raise _Refused(
+            413, f"Content-Length {length} exceeds the {MAX_BODY_BYTES}-byte limit",
+            path,
         )
-
-    def _send_bytes(
-        self, status: int, body: bytes, content_type: str, close: bool = False
-    ) -> None:
-        if status >= 400:
-            get_metrics().counter(
-                "repro_http_errors_total",
-                "HTTP responses with status >= 400, by endpoint and "
-                "status (unknown paths pool under 'other').",
-                labelnames=("endpoint", "status"),
-            ).inc(endpoint=self._endpoint(), status=str(status))
-        self.send_response(status)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(body)))
-        if close:
-            self.send_header("Connection", "close")
-            self.close_connection = True
-        self.end_headers()
-        # Observed before the body goes out, like the error counter, so a
-        # client that has read its response finds it in /metrics.
-        get_metrics().histogram(
-            "repro_http_request_seconds",
-            "Wall-clock seconds per HTTP request, by endpoint "
-            "(unknown paths pool under 'other').",
-            labelnames=("endpoint",),
-        ).observe(self._span.lap(), endpoint=self._endpoint())
-        self.wfile.write(body)
-
-    def _endpoint(self) -> str:
-        return self.path if self.path in _ENDPOINTS else "other"
-
-    def do_GET(self) -> None:
-        with get_tracer().span(
-            f"GET {self.path}", category="serve"
-        ) as self._span:
-            if self.path == "/stats":
-                payload = self.service._registry.describe()
-                payload["metrics"] = get_metrics().snapshot()
-                payload["health"] = self.service.health_report().as_dict()
-                self._send(200, payload)
-            elif self.path == "/metrics":
-                self._send_text(200, get_metrics().render_prometheus())
-            elif self.path == "/health":
-                report = self.service.health_report()
-                self._send(200 if report.healthy else 503, report.as_dict())
-            else:
-                self._send(404, {"error": f"unknown path {self.path!r}"})
-
-    def do_POST(self) -> None:
-        with get_tracer().span(
-            f"POST {self.path}", category="serve"
-        ) as self._span:
-            self._handle_post()
-
-    def _handle_post(self) -> None:
-        header = self.headers.get("Content-Length") or "0"
-        try:
-            length = int(header)
-        except ValueError:
-            length = -1
-        # Both refusals leave the body unread, so the connection cannot
-        # carry another request: they close it.
-        if length < 0:
-            # A negative length would make rfile.read wait for EOF.
-            self._send(
-                400, {"error": f"invalid Content-Length {header!r}"}, close=True
-            )
-            return
-        if length > MAX_BODY_BYTES:
-            # Refuse before reading: rfile.read would allocate the whole
-            # declared length, or wait for bytes that never come.
-            self._send(413, {
-                "error": f"Content-Length {length} exceeds the "
-                f"{MAX_BODY_BYTES}-byte limit"
-            }, close=True)
-            return
-        raw = self.rfile.read(length)
-        try:
-            payload = json.loads(raw) if raw else {}
-        except (ValueError, RecursionError) as exc:
-            # Besides JSONDecodeError (a ValueError): an integer literal
-            # past Python's 4300-digit limit, or nesting past the
-            # recursion limit — either would otherwise drop the
-            # connection without an answer.
-            self._send(400, {"error": f"request body is not JSON: {exc}"})
-            return
-        try:
-            result = self.service._dispatch(self.path, payload)
-        except KeyError as exc:
-            self._send(404, {"error": str(exc.args[0]) if exc.args else "not found"})
-            return
-        except (ValueError, TypeError, OverflowError) as exc:
-            # TypeError covers payloads that are JSON but the wrong
-            # shape (e.g. unexpected register parameters, a scalar
-            # where a list belongs) and OverflowError integers too
-            # large for an index array — still the client's fault.
-            self._send(400, {"error": str(exc)})
-            return
-        except Exception:
-            # A bug below the handler: answer instead of dropping the
-            # connection, and keep the traceback for the operator.
-            _LOG.exception("POST %s failed", self.path)
-            self._send(500, {"error": "internal server error"})
-            return
-        self._send(200, result, close=self.path == "/shutdown")
-        if self.path == "/shutdown":
-            # Stop the serve_forever loop from outside the handler thread
-            # once the response is on the wire.
-            threading.Thread(
-                target=self.service._server.shutdown, daemon=True
-            ).start()
+    if number == (1, 1) and headers.get("expect", "").lower() == "100-continue":
+        writer.write(b"HTTP/1.1 100 Continue\r\n\r\n")
+    body = await reader.readexactly(length)
+    close = number == (1, 0) or headers.get("connection", "").lower() == "close"
+    return method, path, body, close
 
 
 class SparsifierService:
@@ -417,9 +368,16 @@ class SparsifierService:
         )
         if metrics:
             enable_metrics()
-        handler = type("_BoundHandler", (_Handler,), {"service": self})
-        self._server = _Server((host, port), handler)
+        self._listener = socket.create_server((host, port))
+        self._listener.setblocking(False)
         self._thread: threading.Thread | None = None
+        self._loop: asyncio.AbstractEventLoop | None = None
+        self._stopping: asyncio.Future | None = None
+        # Touched on the loop thread only: every connection's task, and
+        # the writers of the connections not busy with a request.
+        self._tasks: set = set()
+        self._idle: set = set()
+        self._date = (0, "")
 
     @property
     def registry(self) -> SparsifierRegistry:
@@ -429,7 +387,7 @@ class SparsifierService:
     @property
     def address(self) -> tuple[str, int]:
         """The bound ``(host, port)`` pair."""
-        host, port = self._server.server_address[:2]
+        host, port = self._listener.getsockname()[:2]
         return str(host), int(port)
 
     @property
@@ -451,34 +409,37 @@ class SparsifierService:
         return evaluate_rules(self.alert_rules, get_metrics().snapshot())
 
     def start(self) -> None:
-        """Start serving on a daemon thread (idempotent)."""
+        """Start serving on the loop's daemon thread (idempotent)."""
         if self._thread is None:
+            self._loop = asyncio.new_event_loop()
+            self._stopping = self._loop.create_future()
             self._thread = threading.Thread(
-                target=self._server.serve_forever, daemon=True
+                target=self._run, name="repro-serve", daemon=True
             )
             self._thread.start()
 
     def wait(self) -> None:
-        """Block until the serve loop exits (``POST /shutdown``)."""
+        """Block until the loop thread exits (``POST /shutdown``)."""
         if self._thread is not None:
             self._thread.join()
 
     def stop(self) -> None:
-        """Stop serving: end the loop, every connection and the socket.
+        """Stop serving: close the listener and every connection.
 
-        The listening socket closes and every open connection's read
-        side is shut; requests already being handled still get their
-        responses, and the call returns once every handler thread has
-        finished.
+        Idle connections close at once; requests in flight, a
+        registration on the executor included, finish and are answered
+        first.  Returns once the loop thread has ended, so no thread of
+        the service outlives the call; without :meth:`start` it only
+        closes the listening socket.
         """
         if self._thread is not None:
-            # shutdown() waits for a running serve loop: never call it
-            # on a service that was not started.
-            self._server.shutdown()
+            try:
+                self._loop.call_soon_threadsafe(self._request_stop)
+            except RuntimeError:
+                pass  # the loop has ended already (POST /shutdown)
             self._thread.join()
             self._thread = None
-        self._server.end_connections()
-        self._server.server_close()  # joins the handler threads
+        self._listener.close()
 
     def __enter__(self) -> "SparsifierService":
         self.start()
@@ -488,8 +449,207 @@ class SparsifierService:
         self.stop()
 
     # ------------------------------------------------------------------
+    # The loop thread
+    # ------------------------------------------------------------------
+    def _run(self) -> None:
+        loop = self._loop
+        try:
+            loop.run_until_complete(self._serve())
+            loop.run_until_complete(loop.shutdown_default_executor())
+        finally:
+            loop.close()
+
+    def _request_stop(self) -> None:
+        if not self._stopping.done():
+            self._stopping.set_result(None)
+
+    async def _serve(self) -> None:
+        """Serve until asked to stop, then wind every connection down."""
+        accepting = asyncio.get_running_loop().create_task(self._accept())
+        await self._stopping
+        accepting.cancel()
+        try:
+            await accepting  # its reader leaves the listener before the close
+        except asyncio.CancelledError:
+            pass
+        self._listener.close()
+        self._close_idle()
+        while self._tasks:
+            await asyncio.wait(set(self._tasks))
+
+    def _close_idle(self) -> None:
+        """Close every connection that is not busy with a request."""
+        for writer in self._idle:
+            writer.close()
+
+    async def _accept(self) -> None:
+        """Accept connections until cancelled; each gets its own task."""
+        loop = asyncio.get_running_loop()
+        while True:
+            try:
+                sock, _ = await loop.sock_accept(self._listener)
+            except ConnectionAbortedError:
+                continue
+            except OSError:
+                # Out of descriptors, say: wait for some to close.
+                _LOG.exception("accepting a connection failed")
+                await asyncio.sleep(1.0)
+                continue
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            task = loop.create_task(self._connection(sock))
+            self._tasks.add(task)
+            task.add_done_callback(self._tasks.discard)
+
+    async def _connection(self, sock: socket.socket) -> None:
+        """Answer one connection's requests in order until it ends."""
+        loop = asyncio.get_running_loop()
+        # The reader's limit admits lines of _MAX_LINE bytes, line end included.
+        reader, writer = await asyncio.open_connection(sock=sock, limit=_MAX_LINE - 1)
+        try:
+            while not self._stopping.done():
+                self._idle.add(writer)
+                try:
+                    request = await _read_request(reader, writer)
+                except _Refused as refused:
+                    writer.write(self._response(
+                        refused.status, {"error": str(refused)}, refused.path,
+                        close=True,
+                    ))
+                    await writer.drain()
+                    break
+                self._idle.discard(writer)
+                if request is None or writer.is_closing():
+                    break
+                method, path, body, close = request
+                if (method, path) == ("POST", "/graphs"):
+                    # A full sparsification: off the loop, so other
+                    # connections keep being answered meanwhile.
+                    reply, stop = await loop.run_in_executor(
+                        None, self._answer, method, path, body, close
+                    )
+                else:
+                    reply, stop = self._answer(method, path, body, close)
+                writer.write(reply)
+                await writer.drain()
+                if stop:
+                    self._request_stop()
+                if stop or close:
+                    break
+        except (OSError, asyncio.IncompleteReadError):
+            pass  # the client went away mid-request
+        except Exception:
+            # A bug outside the routes (they answer 500 themselves): end
+            # this connection only, and keep the traceback.
+            _LOG.exception("serving a connection failed")
+        finally:
+            self._idle.discard(writer)
+            writer.close()
+            try:
+                await writer.wait_closed()
+            except OSError:
+                pass
+
+    def _answer(self, method: str, path: str, body: bytes, close: bool):
+        """Route one request read whole, inside its ``serve`` span.
+
+        Returns the reply's bytes and whether it stops the service.
+        """
+        with get_tracer().span(f"{method} {path}", category="serve") as span:
+            status, payload = self._route(method, path, body)
+            stop = path == "/shutdown" and status == 200
+            return self._response(status, payload, path, close or stop, span), stop
+
+    def _response(
+        self, status: int, payload, path: str, close: bool, span=None
+    ) -> bytes:
+        """A whole response: status line, headers and the encoded payload.
+
+        A ``str`` payload goes out as Prometheus text, anything else as
+        JSON.  A status of 400 or more bumps the error counter, and the
+        request's ``span``, when there is one, feeds the latency
+        histogram: both before the bytes go out, so a client that has
+        read its response finds them in ``/metrics``.
+        """
+        if isinstance(payload, str):
+            body, kind = payload.encode("utf-8"), "text/plain; version=0.0.4"
+        else:
+            body, kind = json.dumps(payload).encode("utf-8"), "application/json"
+        endpoint = path if path in _ENDPOINTS else "other"
+        if status >= 400:
+            get_metrics().counter(
+                "repro_http_errors_total",
+                "HTTP responses with status >= 400, by endpoint and "
+                "status (unknown paths pool under 'other').",
+                labelnames=("endpoint", "status"),
+            ).inc(endpoint=endpoint, status=str(status))
+        if span is not None:
+            get_metrics().histogram(
+                "repro_http_request_seconds",
+                "Wall-clock seconds per HTTP request, by endpoint "
+                "(unknown paths pool under 'other').",
+                labelnames=("endpoint",),
+            ).observe(span.lap(), endpoint=endpoint)
+        head = (
+            f"HTTP/1.1 {status} {HTTPStatus(status).phrase}\r\n{self._date_line()}"
+            f"Content-Type: {kind}\r\nContent-Length: {len(body)}\r\n"
+            + ("Connection: close\r\n\r\n" if close else "\r\n")
+        )
+        return head.encode("ascii") + body
+
+    def _date_line(self) -> str:
+        """The ``Date`` header line, formatted at most once a second."""
+        second = int(time.time())
+        date = self._date
+        if date[0] != second:
+            date = self._date = (
+                second, f"Date: {formatdate(second, usegmt=True)}\r\n"
+            )
+        return date[1]
+
+    # ------------------------------------------------------------------
     # Routing
     # ------------------------------------------------------------------
+    def _route(self, method: str, path: str, body: bytes) -> tuple:
+        """The status and payload answering one request."""
+        if method == "POST":
+            try:
+                payload = json.loads(body) if body else {}
+            except (ValueError, RecursionError) as exc:
+                # Besides JSONDecodeError (a ValueError): an integer
+                # literal past Python's 4300-digit limit, or nesting
+                # past the recursion limit.
+                return 400, {"error": f"request body is not JSON: {exc}"}
+        try:
+            if method == "GET":
+                return self._get(path)
+            return 200, self._dispatch(path, payload)
+        except KeyError as exc:
+            return 404, {"error": str(exc.args[0]) if exc.args else "not found"}
+        except (ValueError, TypeError, OverflowError) as exc:
+            # TypeError covers payloads that are JSON but the wrong
+            # shape (e.g. unexpected register parameters, a scalar
+            # where a list belongs) and OverflowError integers too
+            # large for an index array — still the client's fault.
+            return 400, {"error": str(exc)}
+        except Exception:
+            # A bug below the route: answer instead of dropping the
+            # connection, and keep the traceback for the operator.
+            _LOG.exception("%s %s failed", method, path)
+            return 500, {"error": "internal server error"}
+
+    def _get(self, path: str) -> tuple:
+        if path == "/stats":
+            payload = self._registry.describe()
+            payload["metrics"] = get_metrics().snapshot()
+            payload["health"] = self.health_report().as_dict()
+            return 200, payload
+        if path == "/metrics":
+            return 200, get_metrics().render_prometheus()
+        if path == "/health":
+            report = self.health_report()
+            return (200 if report.healthy else 503), report.as_dict()
+        return 404, {"error": f"unknown path {path!r}"}
+
     def _dispatch(self, path: str, payload: dict) -> dict:
         routes = {
             "/graphs": self._post_graphs,

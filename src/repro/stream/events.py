@@ -42,7 +42,7 @@ import scipy.sparse.csgraph as csgraph
 
 from repro.graphs.graph import Graph
 from repro.utils.rng import as_rng
-from repro.utils.validation import check_vertex_count
+from repro.utils.validation import check_real, check_vertex_count
 
 __all__ = [
     "EdgeInsert",
@@ -318,8 +318,10 @@ def event_to_record(event: EdgeEvent) -> dict:
 def event_from_record(record) -> EdgeEvent:
     """One JSON record (see :func:`event_to_record`) → a validated event.
 
-    Endpoints are checked, not cast: a cast would move the edge
-    (``0.5`` → ``0``, ``true`` → ``1``, ``"7"`` → ``7``).
+    Endpoints and weights are checked, not cast: a cast would move the
+    edge (``0.5`` → ``0``, ``true`` → ``1``, ``"7"`` → ``7``) or read a
+    weight from a boolean or a string (``true`` → ``1.0``, ``"2.5"`` →
+    ``2.5``).
 
     Parameters
     ----------
@@ -336,7 +338,7 @@ def event_from_record(record) -> EdgeEvent:
     ValueError
         If the record is not an object, names an unknown type, lacks a
         field, has an endpoint that is not a non-negative integer, or
-        has an invalid weight.
+        has a weight that is not a positive finite number.
     """
     if not isinstance(record, dict):
         raise ValueError(
@@ -351,7 +353,7 @@ def event_from_record(record) -> EdgeEvent:
         v = check_vertex_count(record["v"], minimum=0, name="endpoint v")
         if cls is EdgeDelete:
             return EdgeDelete(u, v)
-        return cls(u, v, float(record["w"]))
+        return cls(u, v, check_real(record["w"], "weight w"))
     except (KeyError, TypeError, OverflowError) as exc:
         raise ValueError(
             f"malformed {kind} record ({exc.__class__.__name__}: {exc})"

@@ -11,9 +11,11 @@ import numpy as np
 import scipy.sparse as sp
 
 __all__ = [
+    "as_float_array",
     "as_index_array",
     "check_positive",
     "check_probability",
+    "check_real",
     "check_square",
     "check_symmetric",
     "check_vertex_count",
@@ -64,6 +66,44 @@ def as_index_array(values, name: str) -> np.ndarray:
     elif kind != "i":
         raise ValueError(f"{name} must be integers, got dtype {arr.dtype}")
     return arr.astype(np.int64, copy=False)
+
+
+def check_real(value, name: str) -> float:
+    """Require a real number; return it as a ``float``.
+
+    A plain ``float`` cast reads ``True`` as ``1.0`` and ``"2.5"`` as
+    ``2.5``; a boolean, a string or any other non-number raises here
+    instead.
+
+    Raises
+    ------
+    ValueError
+        If ``value`` is not an ``int`` or ``float`` (numpy scalars
+        included), or is a boolean.
+    OverflowError
+        If ``value`` is an integer too large for a float.
+    """
+    if isinstance(value, bool) or not isinstance(
+        value, (int, float, np.integer, np.floating)
+    ):
+        raise ValueError(f"{name} must be a real number, got {value!r:.40}")
+    return float(value)
+
+
+def as_float_array(values, name: str) -> np.ndarray:
+    """Coerce real numbers to ``float64``, checking each with :func:`check_real`.
+
+    Raises
+    ------
+    ValueError
+        If an entry is not a real number (see :func:`check_real`).
+    OverflowError
+        If an entry is an integer too large for a float.
+    """
+    if not isinstance(values, np.ndarray):
+        for item in np.asarray(values, dtype=object).flat:
+            check_real(item, name)
+    return np.asarray(values, dtype=np.float64)
 
 
 def check_positive(value: float, name: str) -> float:

@@ -7,6 +7,8 @@ import socket
 import sys
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
+from email.utils import parsedate_to_datetime
 from urllib.parse import urlparse
 
 import numpy as np
@@ -21,6 +23,7 @@ from repro.serve import (
     SparsifierRegistry,
     SparsifierService,
 )
+from repro.serve import registry as registry_module
 from repro.serve.service import MAX_BODY_BYTES
 from repro.stream import EdgeDelete, EdgeInsert, WeightUpdate
 
@@ -181,10 +184,7 @@ class TestErrors:
                 client._request("POST", path, body)
             assert excinfo.value.status == 400
             assert "JSON object" in str(excinfo.value)
-        after = _http_errors()
-        bumped = {k: after[k] - before.get(k, 0.0)
-                  for k in after if after[k] != before.get(k, 0.0)}
-        assert bumped == {(path, "400"): 1.0 for path in paths}
+        assert _bumped(before) == {(path, "400"): 1.0 for path in paths}
 
     def test_non_object_event_record_is_400(self, client, grid):
         key = client.register(grid, sigma2=SIGMA2, seed=0)
@@ -260,6 +260,19 @@ class TestErrors:
                                      "w": 1.0}]}, "endpoint u"),
             ("/events", {"events": [{"type": "insert", "u": "7", "v": 78,
                                      "w": 1.0}]}, "endpoint u"),
+            # A cast would read these as weights 1.0 and 1.5 (or 2.5).
+            ("/graphs", {"n": 3, "u": [0, 1], "v": [1, 2], "w": [True, 1.5]},
+             "w must be a real number"),
+            ("/graphs", {"n": 3, "u": [0, 1], "v": [1, 2], "w": [1.0, "1.5"]},
+             "w must be a real number"),
+            ("/query/solve", {"rhs": [True] + [0.0] * 80},
+             "rhs must be a real number"),
+            ("/query/solve", {"rhs": [[0.0], ["1.5"]] + [[0.0]] * 79},
+             "rhs must be a real number"),
+            ("/events", {"events": [{"type": "insert", "u": 0, "v": 80,
+                                     "w": True}]}, "weight w must be a real"),
+            ("/events", {"events": [{"type": "update", "u": 0, "v": 1,
+                                     "w": "2.5"}]}, "weight w must be a real"),
         ],
         ids=[
             "resistance-huge-vertex", "similarity-huge-vertex",
@@ -271,7 +284,9 @@ class TestErrors:
             "embedding-fractional-node", "embedding-boolean-node",
             "graphs-fractional-n", "graphs-fractional-u",
             "events-fractional-endpoint", "events-boolean-endpoint",
-            "events-string-endpoint",
+            "events-string-endpoint", "graphs-boolean-weight",
+            "graphs-string-weight", "solve-boolean-rhs", "solve-string-rhs",
+            "events-boolean-weight", "events-string-weight",
         ],
     )
     def test_malformed_query_is_400(self, client, grid, path, payload, reason):
@@ -333,6 +348,13 @@ def _http_errors() -> dict:
     }
 
 
+def _bumped(before: dict) -> dict:
+    """The error-counter labels that moved since ``before``, by how much."""
+    after = _http_errors()
+    return {k: after[k] - before.get(k, 0.0)
+            for k in after if after[k] != before.get(k, 0.0)}
+
+
 def _unknown_path(service, client):
     with pytest.raises(ServiceError) as excinfo:
         client._request("POST", "/nowhere", {})
@@ -360,19 +382,50 @@ class TestErrorCounter:
     def test_error_bumps_exactly_its_label(self, service, client, send, label):
         before = _http_errors()
         send(service, client)
-        after = _http_errors()
-        bumped = {
-            key: after[key] - before.get(key, 0.0)
-            for key in after
-            if after[key] != before.get(key, 0.0)
-        }
-        assert bumped == {label: 1.0}
+        assert _bumped(before) == {label: 1.0}
 
     def test_success_bumps_nothing(self, client, grid):
         before = _http_errors()
         client.register(grid, sigma2=SIGMA2, seed=0)
         client.stats()
         assert _http_errors() == before
+
+    @pytest.mark.parametrize(
+        "request_bytes, status, endpoint",
+        [
+            (b"GARBAGE\r\n\r\n", 400, "other"),
+            (b"GET /health HTTP/1.1 extra\r\n\r\n", 400, "other"),
+            (b"GET /health HTTP/one\r\n\r\n", 400, "/health"),
+            (b"GET /" + b"a" * 70000 + b" HTTP/1.1\r\n\r\n", 414, "other"),
+            (b"GET /health HTTP/1.1\r\nX-Long: " + b"a" * 70000 + b"\r\n\r\n",
+             431, "/health"),
+            (b"GET /health HTTP/1.1\r\n"
+             + b"".join(b"X-%d: 1\r\n" % i for i in range(101)) + b"\r\n",
+             431, "/health"),
+            (b"PUT /graphs HTTP/1.1\r\nContent-Length: 2\r\n\r\n{}",
+             501, "/graphs"),
+            (b"GET /health HTTP/2.0\r\n\r\n", 505, "/health"),
+            (b"POST /graphs HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n"
+             b"2\r\n{}\r\n0\r\n\r\n", 411, "/graphs"),
+        ],
+        ids=["garbage-line", "four-word-line", "bad-version", "long-request-line",
+             "long-header-line", "101-headers", "unknown-method",
+             "unsupported-version", "chunked-without-length"],
+    )
+    def test_transport_refusal_is_json_counted_once_and_closes(
+        self, service, request_bytes, status, endpoint
+    ):
+        """Refusals made before any route runs answer like the routes'
+        errors: a status line, a JSON error body and one counter bump;
+        the server then closes the connection (no Connection: close
+        from the client)."""
+        before = _http_errors()
+        ((got, headers, body),) = _responses(_exchange(service, request_bytes))
+        assert got == status
+        assert headers["connection"] == "close"
+        assert headers["content-type"] == "application/json"
+        assert set(json.loads(body)) == {"error"}
+        assert _bumped(before) == {(endpoint, str(status)): 1.0}
 
 
 _RELOADING_REQUESTS = {
@@ -400,14 +453,11 @@ class TestSpilledArtifactFaults:
             client._request(
                 "POST", path, {"key": key, **_RELOADING_REQUESTS[path]}
             )
-        after = _http_errors()
         assert excinfo.value.status == 500
         assert excinfo.value.body == {"error": "internal server error"}
         assert ".npz" not in str(excinfo.value)
         assert str(service.registry.spool_dir) not in str(excinfo.value)
-        bumped = {k: after[k] - before.get(k, 0.0)
-                  for k in after if after[k] != before.get(k, 0.0)}
-        assert bumped == {(path, "500"): 1.0}
+        assert _bumped(before) == {(path, "500"): 1.0}
         # The entry stays registered and spilled; the server log keeps
         # the loader's own error (with the path, where it names one).
         assert key in service.registry
@@ -452,6 +502,35 @@ def _raw_post(service, length: str, body: bytes = b"") -> tuple[int, bytes]:
             reply += chunk
     head, _, payload = reply.partition(b"\r\n\r\n")
     return int(head.split(b"\r\n", 1)[0].split()[1]), payload
+
+
+def _exchange(service, data: bytes) -> bytes:
+    """Send ``data`` on a new connection; all the server sends until it
+    closes (a 5-s socket timeout turns a server that keeps it open into
+    a test failure)."""
+    url = urlparse(service.url)
+    with socket.create_connection((url.hostname, url.port), timeout=5) as sock:
+        sock.sendall(data)
+        reply = b""
+        while chunk := sock.recv(65536):
+            reply += chunk
+    return reply
+
+
+def _responses(reply: bytes) -> list:
+    """Raw response bytes split into ``(status, headers, body)`` triples."""
+    responses = []
+    while reply:
+        head, _, rest = reply.partition(b"\r\n\r\n")
+        status_line, *lines = head.decode("latin-1").split("\r\n")
+        headers = {}
+        for line in lines:
+            name, _, value = line.partition(":")
+            headers[name.strip().lower()] = value.strip()
+        length = int(headers["content-length"])
+        responses.append((int(status_line.split()[1]), headers, rest[:length]))
+        reply = rest[length:]
+    return responses
 
 
 def _packed(array, dtype: str) -> dict:
@@ -561,10 +640,7 @@ class TestPackedArrays:
             client._request("POST", path, {"key": key, field: value})
         assert excinfo.value.status == 400
         assert reason in str(excinfo.value)
-        after = _http_errors()
-        bumped = {k: after[k] - before.get(k, 0.0)
-                  for k in after if after[k] != before.get(k, 0.0)}
-        assert bumped == {(path, "400"): 1.0}
+        assert _bumped(before) == {(path, "400"): 1.0}
 
     @pytest.mark.parametrize(
         "shape", [[2**40, 2**40], [2] * 10**6], ids=["huge", "long"]
@@ -607,8 +683,16 @@ def _wait_until(condition, timeout: float = 5.0) -> None:
         time.sleep(0.01)
 
 
-def _handler_threads() -> list:
-    return [t for t in threading.enumerate() if "process_request_thread" in t.name]
+def _on_loop(service, function) -> None:
+    """Run ``function`` on the service's loop thread and wait for it."""
+    done = threading.Event()
+
+    def call():
+        function()
+        done.set()
+
+    service._loop.call_soon_threadsafe(call)
+    assert done.wait(timeout=5)
 
 
 class _ScriptedServer:
@@ -702,8 +786,8 @@ class TestKeepAlive:
     ):
         client.stats()
         first = client._connection().sock
-        service._server.end_connections()  # as stop() does, minus the stop
-        _wait_until(lambda: not service._server._connections)
+        _on_loop(service, service._close_idle)  # as stop() does, minus the stop
+        _wait_until(lambda: not service._tasks)
         assert client.stats()["stats"]["builds"] == 0
         assert client._connection().sock is not first
 
@@ -729,20 +813,22 @@ class TestKeepAlive:
         finally:
             server.close()
 
-    def test_stop_leaves_no_idle_handler_thread(self, tmp_path, grid):
+    def test_stop_leaves_no_thread_or_connection(self, tmp_path, grid):
+        before = set(threading.enumerate())
         registry = SparsifierRegistry(tmp_path / "spool")
         service = SparsifierService(registry)
         service.start()
         idle, busy = ServeClient(service.url), ServeClient(service.url)
         with idle, busy:
             idle.stats()
-            busy.register(grid, sigma2=SIGMA2, seed=0)
-            assert len(_handler_threads()) == 2
+            busy.register(grid, sigma2=SIGMA2, seed=0)  # on a worker thread
+            assert len(service._tasks) == 2
             stopper = threading.Thread(target=service.stop, daemon=True)
             stopper.start()
             stopper.join(timeout=5)
             assert not stopper.is_alive()
-            assert _handler_threads() == []
+            assert not service._tasks
+            assert set(threading.enumerate()) - before == set()
 
     def test_threads_share_one_client(self, service, grid):
         """Eight threads (more than cores) on one client with a short
@@ -778,7 +864,7 @@ class TestKeepAlive:
         if errors:
             raise errors[0]
         client.close()
-        _wait_until(lambda: not service._server._connections)
+        _wait_until(lambda: not service._tasks)
 
     def test_stop_without_start_returns(self, tmp_path):
         service = SparsifierService(SparsifierRegistry(tmp_path / "spool"))
@@ -790,8 +876,211 @@ class TestKeepAlive:
     def test_close_ends_the_server_side_of_the_connection(self, service):
         with ServeClient(service.url) as client:
             client.stats()
-            assert len(service._server._connections) == 1
-        _wait_until(lambda: not service._server._connections)
+            assert len(service._tasks) == 1
+        _wait_until(lambda: not service._tasks)
         assert client._connections == {}
         client.stats()  # a closed client reconnects
         client.close()
+
+
+def _hold_builds(monkeypatch):
+    """Make every later registration's build wait until released.
+
+    Returns ``(started, release)``: ``started`` is set once a build
+    waits, and setting ``release`` lets every build go on.
+    """
+    started, release = threading.Event(), threading.Event()
+    build = registry_module.DynamicSparsifier
+
+    def held(*args, **kwargs):
+        started.set()
+        release.wait(timeout=30)
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(registry_module, "DynamicSparsifier", held)
+    return started, release
+
+
+def _register(url: str, graph) -> str:
+    """Register ``graph`` from a client of its own; the artifact key."""
+    with ServeClient(url, timeout=30) as client:
+        return client.register(graph, sigma2=SIGMA2, seed=0)
+
+
+class TestSingleLoop:
+    """One loop thread owns every connection: where that shows on the wire."""
+
+    def test_pipelined_requests_are_answered_in_order(self, service):
+        reply = _exchange(
+            service,
+            b"GET /health HTTP/1.1\r\nHost: x\r\n\r\n"
+            b"GET /metrics HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n",
+        )
+        (health, _, body), (metrics, headers, _) = _responses(reply)
+        assert (health, metrics) == (200, 200)
+        assert "rules" in json.loads(body)
+        assert headers["content-type"].startswith("text/plain")
+        assert headers["connection"] == "close"
+        date = parsedate_to_datetime(headers["date"]).timestamp()
+        assert abs(date - time.time()) < 60
+
+    def test_expect_100_continue_is_answered_before_the_body(
+        self, service, client, grid
+    ):
+        key = client.register(grid, sigma2=SIGMA2, seed=0)
+        body = json.dumps({"key": key, "pairs": [[0, 80]]}).encode("ascii")
+        url = urlparse(service.url)
+        with socket.create_connection((url.hostname, url.port), timeout=5) as sock:
+            sock.sendall(
+                b"POST /query/resistance HTTP/1.1\r\nHost: x\r\n"
+                b"Content-Length: %d\r\nExpect: 100-continue\r\n"
+                b"Connection: close\r\n\r\n" % len(body)
+            )
+            interim = b""
+            while not interim.endswith(b"\r\n\r\n"):
+                interim += sock.recv(1)
+            assert interim == b"HTTP/1.1 100 Continue\r\n\r\n"
+            sock.sendall(body)
+            reply = b""
+            while chunk := sock.recv(65536):
+                reply += chunk
+        ((status, _, payload),) = _responses(reply)
+        assert status == 200
+        expected = service.registry.engine(key).resistance([[0, 80]])
+        assert json.loads(payload)["values"] == expected.tolist()
+
+    def test_http10_request_is_answered_then_closed(self, service):
+        ((status, headers, body),) = _responses(
+            _exchange(service, b"GET /health HTTP/1.0\r\n\r\n")
+        )
+        assert status == 200
+        assert headers["connection"] == "close"
+        assert "rules" in json.loads(body)
+
+    @pytest.mark.parametrize(
+        "partial",
+        [b"POST /query/resistance HTTP/1.1\r\nContent-Le",
+         b"POST /graphs HTTP/1.1\r\nContent-Length: 100\r\n\r\n{\"n\": "],
+        ids=["half-head", "half-body"],
+    )
+    def test_a_stalled_request_does_not_delay_another_connection(
+        self, service, partial
+    ):
+        url = urlparse(service.url)
+        with socket.create_connection((url.hostname, url.port), timeout=5) as stalled:
+            stalled.sendall(partial)
+            with ServeClient(service.url, timeout=5) as client:
+                assert "rules" in client.health()
+                assert client.stats()["artifacts"] == {}
+
+    def test_health_and_queries_answer_during_a_registration(
+        self, service, client, grid, monkeypatch
+    ):
+        key = client.register(grid, sigma2=SIGMA2, seed=0)
+        started, release = _hold_builds(monkeypatch)
+        other = generators.grid2d(8, 8, weights="uniform", seed=4)
+        with ThreadPoolExecutor(1) as pool:
+            registering = pool.submit(_register, service.url, other)
+            try:
+                assert started.wait(timeout=5)
+                with ServeClient(service.url, timeout=5) as probe:
+                    assert "rules" in probe.health()
+                    assert np.array_equal(
+                        probe.resistance(key, [[0, 80]]),
+                        service.registry.engine(key).resistance([[0, 80]]),
+                    )
+                assert not registering.done()  # the build is still held
+            finally:
+                release.set()
+            assert registering.result(timeout=30) in service.registry
+
+    def test_stop_answers_a_registration_in_flight(
+        self, tmp_path, grid, monkeypatch
+    ):
+        """stop() closes the listener and the idle connections at once,
+        but returns only after the registration it found running has
+        been answered, and leaves no thread of the service behind."""
+        before = set(threading.enumerate())
+        service = SparsifierService(SparsifierRegistry(tmp_path / "spool"))
+        service.start()
+        host, port = service.address
+        idle = http.client.HTTPConnection(host, port, timeout=5)
+        try:
+            idle.request("GET", "/health")
+            idle.getresponse().read()  # accepted, answered, now idle
+            started, release = _hold_builds(monkeypatch)
+            with ThreadPoolExecutor(2) as pool:
+                registering = pool.submit(_register, service.url, grid)
+                try:
+                    assert started.wait(timeout=5)
+                    stopping = pool.submit(service.stop)
+                    assert idle.sock.recv(1) == b""  # closed by the server
+                    with pytest.raises(ConnectionRefusedError):
+                        socket.create_connection((host, port), timeout=5).close()
+                    assert not stopping.done()
+                finally:
+                    release.set()
+                key = registering.result(timeout=30)
+                stopping.result(timeout=30)
+        finally:
+            idle.close()
+        assert key in service.registry
+        assert set(threading.enumerate()) - before == set()
+
+
+_BAD_WEIGHTS = {
+    "nan": float("nan"), "infinite": float("inf"), "zero": 0.0, "negative": -1.0,
+}
+
+
+def _fault_cases() -> list:
+    """``(path, payload without key, id)`` for every write-boundary fault."""
+    cases = []
+    for name, bad in _BAD_WEIGHTS.items():
+        listed = {"n": 3, "u": [0, 1], "v": [1, 2], "w": [1.0, bad]}
+        packed = {**listed, "u": _packed([0, 1], "<i8"),
+                  "v": _packed([1, 2], "<i8"), "w": _packed([1.0, bad], "<f8")}
+        cases += [
+            ("/graphs", listed, f"graphs-list-{name}-weight"),
+            ("/graphs", packed, f"graphs-packed-{name}-weight"),
+            ("/events", {"events": [{"type": "insert", "u": 0, "v": 80, "w": bad}]},
+             f"events-insert-{name}-weight"),
+            ("/events", {"events": [{"type": "update", "u": 0, "v": 1, "w": bad}]},
+             f"events-update-{name}-weight"),
+        ]
+    for name, u, v in [("out-of-range", 0, 81), ("far-out-of-range", 10**6, 3),
+                       ("boolean-u", True, 5), ("boolean-v", 5, False)]:
+        cases.append(
+            ("/events", {"events": [{"type": "insert", "u": u, "v": v, "w": 1.0}]},
+             f"events-{name}-endpoint")
+        )
+    return cases
+
+
+class TestWriteBoundaryFaults:
+    """Bad weights and endpoints at the write boundary, end to end: each
+    is a 400 counted once, and the keep-alive connection that carried it
+    answers the next query."""
+
+    @pytest.mark.parametrize(
+        "path, payload",
+        [pytest.param(path, payload, id=name)
+         for path, payload, name in _fault_cases()],
+    )
+    def test_fault_is_400_counted_once_and_connection_survives(
+        self, service, client, grid, path, payload
+    ):
+        key = client.register(grid, sigma2=SIGMA2, seed=0)
+        if path == "/events":
+            payload = {"key": key, **payload}
+        sock = client._connection().sock
+        before = _http_errors()
+        with pytest.raises(ServiceError) as excinfo:
+            client._request("POST", path, payload)
+        assert excinfo.value.status == 400
+        assert _bumped(before) == {(path, "400"): 1.0}
+        assert np.array_equal(
+            client.resistance(key, [[0, 80]]),
+            service.registry.engine(key).resistance([[0, 80]]),
+        )
+        assert client._connection().sock is sock
